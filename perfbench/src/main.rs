@@ -231,7 +231,7 @@ fn end_to_end_run(args: &Args) -> (Vec<Metric>, Vec<Metric>, u64, u64, Checks) {
     let started = clock::now_ns();
     let deadline = started + (args.seconds * 1e9) as u64;
     let mut rig = Rig::start(workload, args.seed, false, false, SETUP_BUILDS);
-    rig.run_phase(workload.low_pps, WARMUP_S);
+    rig.run_phase(workload.low_pps, WARMUP_S, true);
     let (low, high) = low_and_high(&mut rig, FIXED_SHARE * args.seconds);
     let peak_rss_mib = procfs::peak_rss_kib() as f64 / 1024.0;
     let max_rate = max_rate_pps(&mut rig, deadline);
@@ -243,7 +243,7 @@ fn end_to_end_run(args: &Args) -> (Vec<Metric>, Vec<Metric>, u64, u64, Checks) {
     let delivered = low.delivered + high.delivered;
     let failed = low.lost_other + high.lost_other + checks.faults.corrupt + checks.faults.duplicate;
     eprintln!(
-        "perfbench: low {:.0} pps delivered {}/{} in {} windows, high {:.0} pps delivered {}/{} in {} windows (link-lost {}, other-lost {}, kernel drops {}, shed {})",
+        "perfbench: low {:.0} pps delivered {}/{} in {} windows, high {:.0} pps delivered {}/{} in {} windows (link-lost {}, other-lost {}, stragglers {}, kernel drops {}, shed {})",
         low.rate,
         low.delivered,
         low.attempted,
@@ -254,6 +254,7 @@ fn end_to_end_run(args: &Args) -> (Vec<Metric>, Vec<Metric>, u64, u64, Checks) {
         high.window_p50_us.len(),
         low.lost_to_link + high.lost_to_link,
         low.lost_other + high.lost_other,
+        low.stragglers + high.stragglers,
         low.kernel_drops + high.kernel_drops,
         low.shed + high.shed,
     );
@@ -307,8 +308,8 @@ fn low_and_high(rig: &mut Rig, seconds: f64) -> (PhaseOutcome, PhaseOutcome) {
     };
     let mut cycles: Vec<(PhaseOutcome, PhaseOutcome)> = (0..CYCLES_RUN)
         .map(|_| {
-            let low = rig.run_phase(workload.low_pps, segment_s);
-            (low, rig.run_phase(workload.high_pps, segment_s))
+            let low = rig.run_phase(workload.low_pps, segment_s, true);
+            (low, rig.run_phase(workload.high_pps, segment_s, true))
         })
         .collect();
     cycles.sort_by(|a, b| steal(a).total_cmp(&steal(b)));
@@ -369,7 +370,7 @@ fn max_rate_pps(rig: &mut Rig, deadline: u64) -> f64 {
         let mut holds = false;
         let mut failures = 0;
         for _ in 0..4 {
-            let probe = rig.run_phase(rung(k), probe_s);
+            let probe = rig.run_phase(rung(k), probe_s, false);
             holds = rung_holds(&workload, &probe);
             if !holds && probe.steal_ratio() <= QUIET_STEAL {
                 let clear = probe.delivered_ratio() < LADDER_CLEAR_FAIL
@@ -496,16 +497,16 @@ fn traced_run(args: &Args) -> (Vec<Metric>, u64, u64, Checks) {
     let costs = layers::measure(workload, args.seed);
 
     let mut reference = Rig::start(workload, args.seed, false, false, 1);
-    reference.run_phase(workload.low_pps, WARMUP_S);
-    let untraced_high = reference.run_phase(workload.high_pps, 0.25 * args.seconds);
+    reference.run_phase(workload.low_pps, WARMUP_S, true);
+    let untraced_high = reference.run_phase(workload.high_pps, 0.25 * args.seconds, true);
     reference.shutdown();
 
     let mut rig = Rig::start(workload, args.seed, true, true, 1);
-    rig.run_phase(workload.low_pps, WARMUP_S);
+    rig.run_phase(workload.low_pps, WARMUP_S, true);
     let before_low = telemetry(&rig);
-    let low = rig.run_phase(workload.low_pps, 0.2 * args.seconds);
+    let low = rig.run_phase(workload.low_pps, 0.2 * args.seconds, true);
     let before_high = telemetry(&rig);
-    let high = rig.run_phase(workload.high_pps, 0.3 * args.seconds);
+    let high = rig.run_phase(workload.high_pps, 0.3 * args.seconds, true);
     let after_high = telemetry(&rig);
     let checks = Checks::gather(&rig, &[&low, &high]);
     let status = rig.deployment.proxy.status();

@@ -27,6 +27,12 @@ const CATCH_UP: f64 = 2.0;
 const CATCH_UP_GROUP_NS: f64 = 100_000.0;
 /// Seconds between `Proxy::status()` polls, as an operator would poll.
 const STATUS_EVERY_S: f64 = 0.1;
+/// Longest wait, past a phase's settle time, for deliveries the link did
+/// not drop: a host stall near the end of a phase delays them, and a late
+/// delivery is latency, not loss.
+const STRAGGLER_WAIT_S: f64 = 2.0;
+/// Interval between checks for stragglers, ns.
+const STRAGGLER_POLL_NS: u64 = 5_000_000;
 
 /// Correctness faults counted over one phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -98,6 +104,8 @@ pub struct PhaseOutcome {
     pub kernel_drops: u64,
     /// Frames the carriers shed (full route pipe or unknown stream).
     pub shed: u64,
+    /// Deliveries that arrived only after the settle time.
+    pub stragglers: u64,
     /// Correctness faults.
     pub faults: Faults,
     /// Host CPU clock ticks over the phase, and those of them stolen by
@@ -136,6 +144,7 @@ impl PhaseOutcome {
         self.steals += other.steals;
         self.kernel_drops += other.kernel_drops;
         self.shed += other.shed;
+        self.stragglers += other.stragglers;
         self.faults.add(&other.faults);
         self.host_ticks += other.host_ticks;
         self.steal_ticks += other.steal_ticks;
@@ -362,9 +371,12 @@ impl Rig {
         }
     }
 
-    /// Offers `rate` packets/s for `seconds`, waits for stragglers, and
-    /// evaluates every delivery of the phase.
-    pub fn run_phase(&mut self, rate: f64, seconds: f64) -> PhaseOutcome {
+    /// Offers `rate` packets/s for `seconds`, waits out the settle time
+    /// (and, with `await_stragglers`, up to [`STRAGGLER_WAIT_S`] more for
+    /// deliveries still missing) and evaluates every delivery of the phase.
+    /// The CPU, wall-time and runtime figures cover the phase and its
+    /// settle time only.
+    pub fn run_phase(&mut self, rate: f64, seconds: f64, await_stragglers: bool) -> PhaseOutcome {
         let streams = self.workload.streams;
         let spec = PhaseSpec {
             first_round: self.next_round,
@@ -457,7 +469,13 @@ impl Rig {
             }
             _ => (0, 0),
         };
+        let stragglers = if await_stragglers {
+            self.await_stragglers(phase)
+        } else {
+            0
+        };
         let mut outcome = self.evaluate(phase, rate);
+        outcome.stragglers = stragglers;
         outcome.cpu = CpuSplit {
             proxy_ns: cpu_after.proxy_ns - cpu_before.proxy_ns,
             worker_ns: cpu_after.worker_ns - cpu_before.worker_ns,
@@ -475,6 +493,46 @@ impl Rig {
         outcome
     }
 
+    /// Whether slot `slot` of `spec` is a delivery the emulated link alone
+    /// lost.
+    fn lost_to_link(&self, ledger: &Ledger, spec: &PhaseSpec, slot: usize) -> bool {
+        let (round, stream, lane) = ledger.slot_coordinates(spec, slot);
+        self.workload.lanes[lane].wireless
+            && link_loses_source(
+                self.seed,
+                lane,
+                stream,
+                round,
+                FEC_N,
+                FEC_K,
+                self.workload.loss,
+            )
+    }
+
+    /// Deliveries of `phase` still missing that the link does not explain.
+    fn missing(&self, phase: usize) -> u64 {
+        let ledger = self.receiver.shared.ledger.lock().expect("ledger lock");
+        let (spec, slots) = ledger.phase(phase);
+        slots
+            .iter()
+            .enumerate()
+            .filter(|(slot, latency)| latency.is_nan() && !self.lost_to_link(&ledger, spec, *slot))
+            .count() as u64
+    }
+
+    /// Waits up to [`STRAGGLER_WAIT_S`] for the missing deliveries of
+    /// `phase`; returns how many of them arrived.
+    fn await_stragglers(&mut self, phase: usize) -> u64 {
+        let missing = self.missing(phase);
+        let give_up = now_ns() + (STRAGGLER_WAIT_S * 1e9) as u64;
+        let mut left = missing;
+        while left > 0 && now_ns() < give_up {
+            self.wait_until(now_ns() + STRAGGLER_POLL_NS);
+            left = self.missing(phase);
+        }
+        missing - left
+    }
+
     fn evaluate(&self, phase: usize, rate: f64) -> PhaseOutcome {
         let ledger = self.receiver.shared.ledger.lock().expect("ledger lock");
         let (spec, slots) = ledger.phase(phase);
@@ -489,18 +547,7 @@ impl Rig {
                 outcome.delivered += 1;
                 continue;
             }
-            let (round, stream, lane) = ledger.slot_coordinates(&spec, slot);
-            let link = self.workload.lanes[lane].wireless
-                && link_loses_source(
-                    self.seed,
-                    lane,
-                    stream,
-                    round,
-                    FEC_N,
-                    FEC_K,
-                    self.workload.loss,
-                );
-            if link {
+            if self.lost_to_link(&ledger, &spec, slot) {
                 outcome.lost_to_link += 1;
             } else {
                 outcome.lost_other += 1;
