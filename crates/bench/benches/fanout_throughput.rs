@@ -20,7 +20,8 @@ use std::time::Instant;
 use rapidware::engine::{FanoutApplier, FanoutSpec, LaneSpec, SyncFanoutApplier};
 use rapidware::filters::{FecEncoderFilter, FilterChain};
 use rapidware::packet::{Packet, PacketKind, SeqNo, StreamId};
-use rapidware::proxy::{FilterSpec, Session};
+use rapidware::proxy::FilterSpec;
+use rapidware::runtime::{Runtime, RuntimeConfig};
 use rapidware_bench::report::BenchReport;
 
 const PACKETS: usize = 8_192;
@@ -99,11 +100,12 @@ fn independent_chains_pps(packets: &[Packet]) -> f64 {
     packets.len() as f64 / elapsed
 }
 
-/// The live threaded session (head worker + fanout worker + lane chains),
-/// drained concurrently — reported for color, not asserted (thread
+/// The live pooled session (head, fanout and lane tasks on a 2-worker
+/// pool), drained concurrently — reported for color, not asserted (thread
 /// scheduling noise).
 fn live_session_pps(packets: &[Packet]) -> f64 {
-    let session = Session::new("bench").expect("sessions are constructible");
+    let runtime = Runtime::start(RuntimeConfig::new(2, 32));
+    let session = runtime.add_session("bench");
     session
         .insert_head_filter(0, &FilterSpec::new("fec-encoder"))
         .expect("registered kind");
@@ -125,6 +127,7 @@ fn live_session_pps(packets: &[Packet]) -> f64 {
     }
     let elapsed = start.elapsed().as_secs_f64();
     session.shutdown().expect("clean shutdown");
+    runtime.shutdown().expect("clean pool shutdown");
     assert!(delivered >= LANES * packets.len());
     packets.len() as f64 / elapsed
 }
@@ -145,7 +148,7 @@ fn main() {
 
     println!("independent chains (head x{LANES}):   {independent:>12.0} source pkts/s");
     println!("fanout session (head x1, sync):   {fanout:>12.0} source pkts/s");
-    println!("fanout session (live threaded):   {session:>12.0} source pkts/s");
+    println!("fanout session (live pooled):     {session:>12.0} source pkts/s");
     let speedup = fanout / independent;
     println!("amortization speedup (sync):      {speedup:>11.2}x");
 

@@ -1,16 +1,18 @@
-//! Session density: the sharded runtime vs thread-per-filter, hosting the
-//! same 256 fanout sessions.
+//! Session density: the sharded runtime vs thread-per-filter, hosting 256
+//! concurrent streams.
 //!
 //! The claim under test: a pooled session costs **zero** dedicated OS
 //! threads — the head chain, the fanout stage, and every lane run as
 //! cooperative tasks on a fixed pool — so a machine hosts hundreds of
 //! concurrent sessions on `WORKERS` threads, where the thread-per-filter
-//! runtime needs several threads *per session* (head stage workers, the
-//! fanout worker, lane stage workers).
+//! model (the paper's Fig. 4 [`ThreadedChain`]) needs a thread *per
+//! filter* of every stream.
 //!
-//! Both modes host `SESSIONS` live sessions (one filtered head stage, one
-//! receiver lane each), push a burst of packets through every session, and
-//! verify delivery.  Density is `sessions / threads used to host them`,
+//! The pooled mode hosts `SESSIONS` live fanout sessions (one filtered
+//! head stage, one receiver lane each); the thread-per-filter baseline
+//! hosts `SESSIONS` [`ThreadedChain`]s with the same null filter — one
+//! thread each, the cheapest shape that model has.  Both push a burst of
+//! packets through every stream and verify delivery.  Density is `sessions / threads used to host them`,
 //! with the thread counts read from `/proc/self/status` (falling back to
 //! the analytic per-runtime thread accounting off Linux).  The bench
 //! asserts the pooled runtime reaches at least **4x** the thread-per-filter
@@ -26,7 +28,8 @@
 use std::time::Instant;
 
 use rapidware::packet::{Packet, PacketKind, SeqNo, StreamId};
-use rapidware::proxy::{FilterSpec, Session};
+use rapidware::filters::NullFilter;
+use rapidware::proxy::{FilterSpec, ThreadedChain};
 use rapidware::runtime::{Runtime, RuntimeConfig};
 use rapidware_bench::report::{median, BenchReport};
 
@@ -63,9 +66,9 @@ fn hosting_threads<T>(analytic: usize, setup: impl FnOnce() -> T) -> (usize, T) 
     (threads, hosted)
 }
 
-/// Pushes one burst through every session and drains every lane,
-/// returning source packets/second.  `inputs_and_lanes` supplies, per
-/// session, the input endpoint and the lane endpoint.
+/// Pushes one burst through every stream and drains every output,
+/// returning source packets/second.  `inputs` and `lanes` supply, per
+/// stream, the input endpoint and the delivery endpoint.
 fn drive(
     inputs: &[rapidware::streams::DetachableSender<Packet>],
     lanes: &[rapidware::streams::DetachableReceiver<Packet>],
@@ -93,42 +96,32 @@ fn drive(
     (SESSIONS as u64 * PACKETS_PER_SESSION) as f64 / elapsed
 }
 
-/// One full thread-per-filter run: build the sessions, push the burst,
+/// One full thread-per-filter run: build the chains, push the burst,
 /// tear everything down.  Returns (threads used to host, packets/second).
 fn threaded_run() -> (usize, f64) {
-    // Each session spawns a head stage worker and a fanout worker
-    // (2 threads/session at this shape).
-    let (threaded_threads, sessions) = hosting_threads(SESSIONS * 2, || {
-        let sessions: Vec<(Session, _, _)> = (0..SESSIONS)
-            .map(|i| {
-                let session = Session::with_config(
-                    format!("threaded-{i}"),
-                    rapidware::proxy::FilterRegistry::with_builtins(),
-                    PIPE_CAPACITY,
-                    BATCH_SIZE,
-                )
-                .expect("sessions are constructible");
-                session
-                    .insert_head_filter(0, &FilterSpec::new("null"))
-                    .expect("null is a registered kind");
-                let lane = session.add_lane("lane").expect("fresh session");
-                let input = session.input();
-                (session, input, lane)
+    // Each chain spawns one stage worker for its null filter.
+    let (threaded_threads, chains) = hosting_threads(SESSIONS, || {
+        let chains: Vec<ThreadedChain> = (0..SESSIONS)
+            .map(|_| {
+                let chain = ThreadedChain::with_batch_size(PIPE_CAPACITY, BATCH_SIZE)
+                    .expect("chains are constructible");
+                chain.insert(0, Box::new(NullFilter::new())).expect("fresh chain");
+                chain
             })
             .collect();
-        sessions
+        chains
     });
-    let inputs: Vec<_> = sessions.iter().map(|(_, input, _)| input.clone()).collect();
-    let lanes: Vec<_> = sessions.iter().map(|(_, _, lane)| lane.clone()).collect();
-    let threaded_pps = drive(&inputs, &lanes);
-    for (session, _, _) in &sessions {
-        session.shutdown().expect("clean shutdown");
+    let inputs: Vec<_> = chains.iter().map(ThreadedChain::input).collect();
+    let outputs: Vec<_> = chains.iter().map(ThreadedChain::output).collect();
+    let threaded_pps = drive(&inputs, &outputs);
+    for chain in &chains {
+        chain.shutdown().expect("clean shutdown");
     }
-    drop(sessions);
+    drop(chains);
     (threaded_threads, threaded_pps)
 }
 
-/// One full pooled run: the same 256 sessions as tasks on `WORKERS` fixed
+/// One full pooled run: 256 fanout sessions as tasks on `WORKERS` fixed
 /// workers.  Returns (threads used to host, packets/second).
 fn pooled_run() -> (usize, f64) {
     let runtime = Runtime::start(
@@ -165,8 +158,9 @@ fn pooled_run() -> (usize, f64) {
 
 fn main() {
     println!(
-        "runtime scaling: {SESSIONS} fanout sessions (1 head filter + 1 lane), \
-         burst of {PACKETS_PER_SESSION} packets each, {REPETITIONS} repetitions"
+        "runtime scaling: {SESSIONS} pooled fanout sessions (1 head filter + 1 lane) vs \
+         {SESSIONS} threaded chains (1 filter), burst of {PACKETS_PER_SESSION} packets each, \
+         {REPETITIONS} repetitions"
     );
     println!("{}", "-".repeat(72));
 

@@ -17,8 +17,8 @@
 //!    the line stores only the seed and the shrink state, never the derived
 //!    scenario, so the corpus can never drift from the sampler.
 //! 2. **Conformance** — [`conformance_problems`](GeneratedSpec::conformance_problems)
-//!    runs the derived scenario on every applier (sync, threaded/session,
-//!    pooled, plus the sampled placement) and checks the universal
+//!    runs the derived scenario on every applier (sync, threaded for flat
+//!    specs, pooled, plus the sampled placement) and checks the universal
 //!    invariants no random regime can break: byte-identical canonical
 //!    traces, equal reports, full per-receiver accounting
 //!    (`delivered + recovered + lost + undelivered == packets`), zero
@@ -55,7 +55,7 @@ use super::{RuntimeApplier, ScenarioEngine, POOLED_APPLIER_SHARDS};
 pub enum PlacementKind {
     /// The synchronous in-process applier.
     Sync,
-    /// The thread-per-stage applier (threaded chain / threaded session).
+    /// The thread-per-stage applier (threaded chain).
     Threaded,
     /// The sharded worker-pool applier.
     Pooled,
@@ -126,7 +126,7 @@ struct Shrink {
     /// Brackets the derived scenario with the AEAD secure-channel pair
     /// (flat: `ScenarioSpec::secure`, with a midpoint key rotation; fanout:
     /// encrypt/decrypt appended to the head filters) and widens conformance
-    /// with the UDP and shared-UDP appliers.  Unlike `shared_udp` this
+    /// with the shared-UDP appliers.  Unlike `shared_udp` this
     /// token is *shrinkable*: dropping it is the first candidate tried, so
     /// a failure that reproduces without crypto minimizes to a plaintext
     /// line.
@@ -479,7 +479,7 @@ impl GeneratedSpec {
     /// happened to do:
     ///
     /// * the sync run is deterministic (two runs, identical bytes);
-    /// * threaded/session and pooled appliers produce byte-identical
+    /// * threaded (flat specs) and pooled appliers produce byte-identical
     ///   canonical traces and equal reports;
     /// * a pooled run at the sampled placement shard count agrees too
     ///   (scheduler shape must be invisible);
@@ -512,9 +512,6 @@ impl GeneratedSpec {
             ("threaded", engine.run_threaded()),
             ("pooled", engine.run_pooled()),
         ];
-        if self.shrink.secure {
-            runs.push(("udp", engine.run_udp()));
-        }
         if self.shrink.shared_udp || self.shrink.secure {
             runs.push(("shared-udp", engine.run_udp_shared()));
         }
@@ -582,13 +579,7 @@ impl GeneratedSpec {
         if again.trace.canonical_text() != reference.trace.canonical_text() {
             problems.push("sync fanout applier is not deterministic per seed".to_string());
         }
-        let mut runs = vec![
-            ("session", engine.run_session()),
-            ("pooled", engine.run_pooled()),
-        ];
-        if self.shrink.secure {
-            runs.push(("udp", engine.run_udp()));
-        }
+        let mut runs = vec![("pooled", engine.run_pooled())];
         if self.shrink.shared_udp || self.shrink.secure {
             runs.push(("shared-udp", engine.run_udp_shared()));
         }

@@ -2,24 +2,29 @@
 //! reactor-driven data plane from
 //! [`Proxy::add_udp_carrier`](rapidware_proxy::Proxy), where one bound UDP
 //! socket carries every stream of the scenario and pool tasks — woken by
-//! socket readiness, not pump threads — drain and flush it in batches.
+//! socket readiness — drain and flush it in batches.
 //!
 //! ```text
 //!   engine ──encode──▶ UDP ──▶ carrier demux ─▶ pooled chain ─▶ carrier mux ──▶ UDP ──decode──▶ engine
 //! ```
 //!
 //! [`SharedUdpApplier`] and [`SharedUdpFanoutApplier`] are the conformance
-//! witnesses for that path: they run the exact protocol of the pump-thread
-//! appliers in [`udp`](super::udp) — same control-marker quiescence, same
-//! app-side sockets — so the scenario matrix can require their reports and
-//! canonical traces to be **byte-identical** to the sync applier's.  The
-//! scenario's source packets ride stream id 1 and the quiescence markers
-//! ride the reserved marker stream; both ids are routed to the same chain,
-//! which preserves the single-socket FIFO order determinism rests on.
+//! witnesses for that path.  Determinism over a real socket path relies on
+//! two facts: loopback UDP from a single socket is FIFO and (with
+//! window-bounded in-flight data) lossless, and the appliers quiesce with
+//! the same control-marker protocol as their in-process siblings — a
+//! [`PacketKind::Control`] marker rides the full socket → chain → socket
+//! path, so everything a window produced is collected, in order, before the
+//! engine moves on.  That lets the scenario matrix require their reports
+//! and canonical traces to be **byte-identical** to the sync applier's.
+//! The scenario's source packets ride stream id 1 and the quiescence
+//! markers ride the reserved marker stream; both ids are routed to the
+//! same chain, which preserves the single-socket FIFO order determinism
+//! rests on.
 
 use std::net::UdpSocket;
 
-use rapidware_packet::{Packet, PacketKind, StreamId};
+use rapidware_packet::{Packet, PacketKind, SeqNo, StreamId};
 use rapidware_proxy::{
     Proxy, RuntimeConfig, SharedUdpSessionConfig, SharedUdpSessionHandle, SharedUdpStreamConfig,
     SharedUdpStreamHandle, UdpCarrierConfig,
@@ -30,8 +35,19 @@ use rapidware_transport::{UdpConfig, UdpIngress};
 
 use super::applier::{marker_stream, ActionApplier};
 use super::fanout::{drain_lanes_to_eof, drain_lanes_until_marker, FanoutApplier, FanoutSpec};
-use super::udp::{marker, transmit};
 use super::POOLED_APPLIER_SHARDS;
+
+/// Encodes `packet` and sends it to `peer` as one datagram.
+fn transmit(socket: &UdpSocket, peer: std::net::SocketAddr, packet: &Packet, scratch: &mut Vec<u8>) {
+    packet.encode_into(scratch);
+    socket
+        .send_to(scratch, peer)
+        .expect("loopback sends do not fail");
+}
+
+fn marker(seq: u64) -> Packet {
+    Packet::new(marker_stream(), SeqNo::new(seq), PacketKind::Control, Vec::new())
+}
 
 /// The stream id scenario sources emit on (see
 /// [`AudioSource`](rapidware_media::AudioSource) construction in the
@@ -45,8 +61,7 @@ fn scenario_stream() -> StreamId {
 const CARRIER: &str = "carrier";
 
 /// The shared-socket applier: one flat pooled stream riding a carrier, so
-/// the whole closed loop crosses the readiness reactor instead of pump
-/// threads.
+/// the whole closed loop crosses real sockets and the readiness reactor.
 #[derive(Debug)]
 pub struct SharedUdpApplier {
     proxy: Proxy,

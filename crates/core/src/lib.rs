@@ -13,8 +13,8 @@
 //! | [`packet`] | `rapidware-packet` | the packet model, reorder buffers, receipt statistics |
 //! | [`fec`] | `rapidware-fec` | (n, k) block erasure codes over GF(2⁸) |
 //! | [`filters`] | `rapidware-filters` | the `Filter` trait, the reconfigurable chain, and the built-in filter library |
-//! | [`proxy`] | `rapidware-proxy` | thread-per-filter proxy runtime, filter registry, control protocol |
-//! | [`transport`] | `rapidware-transport` | real UDP ingress/egress endpoints and the deterministic loopback impairment shim |
+//! | [`proxy`] | `rapidware-proxy` | the proxy: pooled runtime with shared-socket UDP carriers (production), thread-per-filter chains (the paper's reference), filter registry, control protocol |
+//! | [`transport`] | `rapidware-transport` | shared-socket UDP endpoints, the app-side UDP receiver, and the deterministic loopback impairment shim |
 //! | [`raplets`] | `rapidware-raplets` | observer / responder raplets and the adaptation engine |
 //! | [`netsim`] | `rapidware-netsim` | deterministic wireless LAN simulator (the testbed substitute) |
 //! | [`media`] | `rapidware-media` | synthetic audio / video workloads and measurement sinks |
@@ -86,9 +86,10 @@ pub mod prelude {
     pub use rapidware_pavilion::{CollaborativeSession, DeviceProfile};
     pub use rapidware_proxy::{
         Command, ControlManager, FilterRegistry, FilterSpec, PooledChain, PooledSession, Proxy,
-        Runtime, RuntimeConfig, ThreadedChain, UdpSessionConfig, UdpStreamConfig,
+        Runtime, RuntimeConfig, SharedUdpSessionConfig, SharedUdpStreamConfig, ThreadedChain,
+        UdpCarrierConfig,
     };
-    pub use rapidware_transport::{ImpairedUdp, ImpairmentPlan, UdpConfig, UdpEgress, UdpIngress};
+    pub use rapidware_transport::{ImpairedUdp, ImpairmentPlan, UdpConfig, UdpIngress};
     pub use rapidware_raplets::{
         AdaptationAction, AdaptationEngine, FecResponder, LinkSample, LossRateObserver,
     };

@@ -28,7 +28,7 @@ fn apply(key: u64, mut packet: Packet) -> Packet {
     let seq = packet.seq().value();
     // Copy-on-write rewrite: a uniquely owned payload is transformed in
     // place with no allocation, while a payload shared with fan-out
-    // siblings (other receiver lanes of a Session) is copied first so the
+    // siblings (other receiver lanes of a session) is copied first so the
     // siblings keep the original bytes.
     for (i, byte) in packet.payload_mut().iter_mut().enumerate() {
         *byte ^= keystream_byte(key, seq, i);

@@ -19,8 +19,12 @@
 //! * [`ControlManager`], [`Command`], [`Response`] — the management
 //!   interface (the paper's Swing GUI, minus the Swing): query a proxy's
 //!   configuration, insert/remove/move filters, upload filter bundles.
-//! * [`Proxy`] — one proxy process: a set of named streams, each with its
-//!   own reconfigurable chain, plus the registry and control plumbing.
+//! * [`runtime`] — the production placement: a fixed worker pool hosting
+//!   [`PooledChain`]s and fanout [`PooledSession`]s as cooperative tasks,
+//!   plus the readiness reactor that drives shared-socket UDP carriers.
+//! * [`Proxy`] — one proxy process: a set of named streams and fanout
+//!   sessions, each with its own reconfigurable chains, the UDP carriers
+//!   they ride, and the registry and control plumbing.
 //!
 //! ## Example
 //!
@@ -75,15 +79,15 @@ pub use runtime::{
     PooledChain, PooledSession, Runtime, RuntimeConfig, RuntimeStatus, ShardStatus, SocketDriver,
     SocketInterest, SocketStep, SocketWork,
 };
-pub use session::{LaneStatus, Session, SessionStatus};
+pub use session::{LaneStatus, SessionStatus};
 pub use threaded::{ChainStats, ThreadedChain, DEFAULT_BATCH_SIZE};
 pub use udp::{
     SharedUdpSessionConfig, SharedUdpSessionHandle, SharedUdpStreamConfig, SharedUdpStreamHandle,
-    UdpCarrierConfig, UdpCarrierHandle, UdpSessionConfig, UdpSessionHandle, UdpStreamConfig,
-    UdpStreamHandle, UdpTransportStatus,
+    UdpCarrierConfig, UdpCarrierHandle, UdpTransportStatus,
 };
 // Re-exported so callers reading `ProxyStatus::transports` (or holding the
-// stats handles in a `Udp*Handle`) need not depend on the transport crate.
+// stats handles of a `UdpCarrierHandle`) need not depend on the transport
+// crate.
 pub use rapidware_transport::{TransportSnapshot, TransportStats};
 // Re-exported so callers consuming `Proxy::telemetry()` snapshots (or
 // registering their own instruments on `Proxy::telemetry_registry()`) need

@@ -9,20 +9,19 @@ use rapidware_packet::Packet;
 use rapidware_streams::{DetachableReceiver, DetachableSender};
 use rapidware_telemetry::{Registry, StatSource, TelemetrySnapshot};
 
-use rapidware_transport::{SharedUdpEgress, SharedUdpIngress, UdpConfig, UdpEgress, UdpIngress};
+use rapidware_transport::{SharedUdpEgress, SharedUdpIngress, UdpConfig};
 
 use crate::error::ProxyError;
 use crate::registry::{FilterRegistry, FilterSpec};
 use crate::runtime::{
     PooledChain, PooledSession, Runtime, RuntimeConfig, RuntimeStatus, SocketInterest,
 };
-use crate::session::{Session, SessionStatus};
+use crate::session::SessionStatus;
 use crate::threaded::{ChainStats, ThreadedChain};
 use crate::udp::{
     SharedEgressWork, SharedIngressWork, SharedUdpSessionConfig, SharedUdpSessionHandle,
     SharedUdpStreamConfig, SharedUdpStreamHandle, UdpCarrier, UdpCarrierConfig, UdpCarrierHandle,
-    UdpSessionConfig, UdpSessionHandle, UdpSessionTransport, UdpStreamConfig, UdpStreamHandle,
-    UdpStreamTransport, UdpTransportStatus,
+    UdpTransportStatus,
 };
 
 /// A snapshot of one stream's configuration and statistics.
@@ -122,16 +121,16 @@ pub struct ProxyStatus {
     /// Per-stream snapshots, sorted by stream name.
     pub streams: Vec<StreamStatus>,
     /// Per-session snapshots (head chain plus per-lane stats), sorted by
-    /// session name; pooled and threaded sessions report the same shape.
+    /// session name.
     pub sessions: Vec<SessionStatus>,
     /// Filter kinds this proxy can instantiate.
     pub available_kinds: Vec<String>,
     /// Sharded-runtime snapshot (per-shard queue depths, live tasks,
     /// steals) when the proxy runs a worker pool; `None` otherwise.
     pub runtime: Option<RuntimeStatus>,
-    /// Per-endpoint counters of every UDP-backed stream and session
-    /// (rx/tx datagrams and packets, decode errors, drops), sorted by
-    /// name.
+    /// Socket-wide counters of every shared-socket carrier (rx/tx
+    /// datagrams and packets, decode errors, drops, unknown-stream
+    /// frames), sorted by carrier name.
     pub transports: Vec<UdpTransportStatus>,
     /// Secure-channel counters summed over every stream and session: how
     /// many payloads were sealed, how many verified open, how many were
@@ -146,10 +145,7 @@ pub struct Proxy {
     name: String,
     registry: FilterRegistry,
     streams: BTreeMap<String, StreamChain>,
-    sessions: BTreeMap<String, Session>,
-    pooled_sessions: BTreeMap<String, PooledSession>,
-    udp_streams: BTreeMap<String, UdpStreamTransport>,
-    udp_sessions: BTreeMap<String, UdpSessionTransport>,
+    sessions: BTreeMap<String, PooledSession>,
     udp_carriers: BTreeMap<String, UdpCarrier>,
     runtime: Option<Arc<Runtime>>,
     telemetry: Option<Arc<Registry>>,
@@ -189,9 +185,6 @@ impl Proxy {
             registry,
             streams: BTreeMap::new(),
             sessions: BTreeMap::new(),
-            pooled_sessions: BTreeMap::new(),
-            udp_streams: BTreeMap::new(),
-            udp_sessions: BTreeMap::new(),
             udp_carriers: BTreeMap::new(),
             runtime: None,
             telemetry: None,
@@ -251,9 +244,6 @@ impl Proxy {
             attach_stream_spans(&registry, name, chain);
         }
         for session in self.sessions.values() {
-            session.enable_telemetry(&registry);
-        }
-        for session in self.pooled_sessions.values() {
             session.enable_telemetry(&registry);
         }
         registry
@@ -371,40 +361,6 @@ impl Proxy {
             .ok_or_else(|| ProxyError::UnknownStream(stream.to_string()))
     }
 
-    /// Creates a fanout session through this proxy: one upstream input, a
-    /// shared head chain, and (initially zero) receiver lanes added through
-    /// [`Session::add_lane`].  Returns the session's input endpoint; use
-    /// [`session`](Self::session) to add lanes and per-lane filters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProxyError::Splice`] if a session with this name already
-    /// exists.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` or `batch_size` is zero (see
-    /// [`Session::with_config`]).
-    pub fn add_session(
-        &mut self,
-        name: impl Into<String>,
-        capacity: usize,
-        batch_size: usize,
-    ) -> Result<DetachableSender<Packet>, ProxyError> {
-        let name = name.into();
-        if self.sessions.contains_key(&name) || self.pooled_sessions.contains_key(&name) {
-            return Err(ProxyError::Splice(format!("session {name} already exists")));
-        }
-        let session =
-            Session::with_config(name.clone(), self.registry.clone(), capacity, batch_size)?;
-        if let Some(registry) = &self.telemetry {
-            session.enable_telemetry(registry);
-        }
-        let input = session.input();
-        self.sessions.insert(name, session);
-        Ok(input)
-    }
-
     /// Creates a fanout session hosted on the sharded worker pool: the
     /// shared head chain, the fanout stage, and every receiver lane run as
     /// cooperative tasks, so the session costs no dedicated threads.
@@ -425,7 +381,7 @@ impl Proxy {
     ) -> Result<DetachableSender<Packet>, ProxyError> {
         let name = name.into();
         let runtime = self.runtime.as_ref().ok_or(ProxyError::RuntimeDisabled)?;
-        if self.pooled_sessions.contains_key(&name) || self.sessions.contains_key(&name) {
+        if self.sessions.contains_key(&name) {
             return Err(ProxyError::Splice(format!("session {name} already exists")));
         }
         let session =
@@ -434,7 +390,7 @@ impl Proxy {
             session.enable_telemetry(registry);
         }
         let input = session.input();
-        self.pooled_sessions.insert(name, session);
+        self.sessions.insert(name, session);
         Ok(input)
     }
 
@@ -443,204 +399,28 @@ impl Proxy {
     /// # Errors
     ///
     /// Returns [`ProxyError::UnknownSession`] for unknown sessions.
-    pub fn session(&self, name: &str) -> Result<&Session, ProxyError> {
+    pub fn pooled_session(&self, name: &str) -> Result<&PooledSession, ProxyError> {
         self.sessions
             .get(name)
             .ok_or_else(|| ProxyError::UnknownSession(name.to_string()))
     }
 
-    /// The named pooled fanout session.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProxyError::UnknownSession`] for unknown sessions.
-    pub fn pooled_session(&self, name: &str) -> Result<&PooledSession, ProxyError> {
-        self.pooled_sessions
-            .get(name)
-            .ok_or_else(|| ProxyError::UnknownSession(name.to_string()))
-    }
-
-    /// Names of the fanout sessions on this proxy (threaded and pooled).
+    /// Names of the fanout sessions on this proxy.
     pub fn session_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .sessions
-            .keys()
-            .chain(self.pooled_sessions.keys())
-            .cloned()
-            .collect();
-        names.sort();
-        names
-    }
-
-    /// Creates a stream whose endpoints are **real UDP sockets**: an
-    /// ingress socket decodes arriving datagrams straight into the chain
-    /// input, and the chain output is framed and sent to
-    /// `config.egress_peer`, one packet per datagram.  The chain itself is
-    /// an ordinary stream — it appears in [`stream_names`](Self::stream_names),
-    /// accepts live filter splices through the usual control surface, and
-    /// runs thread-per-filter or on the worker pool per `config.pooled`.
-    ///
-    /// The returned [`UdpStreamHandle`] carries the concrete socket
-    /// addresses (ports are ephemeral by default), the per-endpoint
-    /// counters, and [`close_input`](UdpStreamHandle::close_input) for a
-    /// clean end of stream; the same counters surface in
-    /// [`ProxyStatus::transports`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProxyError::Splice`] if the stream name is taken,
-    /// [`ProxyError::RuntimeDisabled`] for a pooled placement without a
-    /// runtime, or [`ProxyError::Transport`] if a socket cannot be bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.capacity` is zero.
-    pub fn add_stream_udp(
-        &mut self,
-        name: impl Into<String>,
-        config: UdpStreamConfig,
-    ) -> Result<UdpStreamHandle, ProxyError> {
-        let name = name.into();
-        let chain = if config.pooled {
-            let runtime = self.runtime.as_ref().ok_or(ProxyError::RuntimeDisabled)?;
-            StreamChain::Pooled(runtime.add_chain_with(
-                name.clone(),
-                config.capacity,
-                config.batch_size.max(1),
-            ))
-        } else {
-            StreamChain::Threaded(ThreadedChain::with_batch_size(
-                config.capacity,
-                config.batch_size.max(1),
-            )?)
-        };
-        let (input, output) = self.install_stream(name.clone(), chain)?;
-        let udp_config = UdpConfig::default()
-            .with_capacity(config.capacity)
-            .with_batch_size(config.batch_size.max(1));
-        let ingress = UdpIngress::bind_into(config.ingress_bind, input.clone(), &udp_config)
-            .map_err(|err| self.transport_failure(&name, err))?;
-        let egress = UdpEgress::drain(output, config.egress_peer, &udp_config)
-            .map_err(|err| self.transport_failure(&name, err))?;
-        let handle = UdpStreamHandle {
-            ingress_addr: ingress.local_addr(),
-            egress_addr: egress.local_addr(),
-            ingress_stats: ingress.stats(),
-            egress_stats: egress.stats(),
-            input: input.clone(),
-        };
-        self.udp_streams.insert(
-            name,
-            UdpStreamTransport {
-                ingress,
-                egress,
-                input,
-            },
-        );
-        Ok(handle)
-    }
-
-    /// Removes the half-installed stream after a socket failure and wraps
-    /// the error; an `add_stream_udp` that fails leaves no trace behind.
-    fn transport_failure(&mut self, name: &str, err: std::io::Error) -> ProxyError {
-        if let Some(chain) = self.streams.remove(name) {
-            let _ = chain.shutdown();
-        }
-        ProxyError::Transport(err.to_string())
-    }
-
-    /// Creates a fanout session whose endpoints are **real UDP sockets**:
-    /// one ingress socket feeding the shared head chain, and one egress
-    /// socket per `config.lanes` entry sending that lane's packets to its
-    /// peer.  The session is an ordinary session otherwise — it appears in
-    /// [`session_names`](Self::session_names) and accepts per-lane filter
-    /// splices through [`session`](Self::session) /
-    /// [`pooled_session`](Self::pooled_session) (per `config.pooled`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProxyError::Splice`] if the session name is taken,
-    /// [`ProxyError::RuntimeDisabled`] for a pooled placement without a
-    /// runtime, or [`ProxyError::Transport`] if a socket cannot be bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.capacity` is zero.
-    pub fn add_session_udp(
-        &mut self,
-        name: impl Into<String>,
-        config: UdpSessionConfig,
-    ) -> Result<UdpSessionHandle, ProxyError> {
-        let name = name.into();
-        let input = if config.pooled {
-            self.add_session_pooled(name.clone(), config.capacity, config.batch_size.max(1))?
-        } else {
-            self.add_session(name.clone(), config.capacity, config.batch_size.max(1))?
-        };
-        let udp_config = UdpConfig::default()
-            .with_capacity(config.capacity)
-            .with_batch_size(config.batch_size.max(1));
-        let result = (|| -> Result<(UdpIngress, Vec<(String, UdpEgress)>), ProxyError> {
-            let ingress = UdpIngress::bind_into(config.ingress_bind, input.clone(), &udp_config)
-                .map_err(|err| ProxyError::Transport(err.to_string()))?;
-            let mut lanes = Vec::with_capacity(config.lanes.len());
-            for (lane_name, peer) in &config.lanes {
-                let lane_output = if config.pooled {
-                    self.pooled_session(&name)?.add_lane(lane_name)?
-                } else {
-                    self.session(&name)?.add_lane(lane_name)?
-                };
-                let egress = UdpEgress::drain(lane_output, *peer, &udp_config)
-                    .map_err(|err| ProxyError::Transport(err.to_string()))?;
-                lanes.push((lane_name.clone(), egress));
-            }
-            Ok((ingress, lanes))
-        })();
-        let (ingress, lanes) = match result {
-            Ok(parts) => parts,
-            Err(err) => {
-                // Tear the half-installed session down so the name is free.
-                if let Some(session) = self.sessions.remove(&name) {
-                    let _ = session.shutdown();
-                }
-                if let Some(session) = self.pooled_sessions.remove(&name) {
-                    let _ = session.shutdown();
-                }
-                return Err(err);
-            }
-        };
-        let handle = UdpSessionHandle {
-            ingress_addr: ingress.local_addr(),
-            ingress_stats: ingress.stats(),
-            lanes: lanes
-                .iter()
-                .map(|(lane_name, egress)| (lane_name.clone(), egress.stats()))
-                .collect(),
-            input: input.clone(),
-        };
-        self.udp_sessions.insert(
-            name,
-            UdpSessionTransport {
-                ingress,
-                lanes,
-                input,
-            },
-        );
-        Ok(handle)
+        self.sessions.keys().cloned().collect()
     }
 
     /// Binds a **shared-socket carrier**: one UDP socket that many pooled
     /// streams and sessions ride at once, demultiplexed by the stream id in
-    /// every packet header.  Unlike [`add_stream_udp`](Self::add_stream_udp)
-    /// (two pump threads per socket), a carrier costs zero threads — the
-    /// runtime's readiness reactor wakes pool tasks that drain and flush
-    /// the socket in batches.
+    /// every packet header.  A carrier costs zero threads — the runtime's
+    /// readiness reactor wakes pool tasks that drain and flush the socket
+    /// in batches.
     ///
     /// Place work on the carrier with
     /// [`add_stream_udp_shared`](Self::add_stream_udp_shared) and
     /// [`add_session_udp_shared`](Self::add_session_udp_shared); the
     /// carrier's socket-wide counters (and its unknown-stream drop count)
-    /// appear in [`ProxyStatus::transports`] with `shared` set.
+    /// appear in [`ProxyStatus::transports`].
     ///
     /// # Errors
     ///
@@ -855,7 +635,7 @@ impl Proxy {
                     carrier.ingress.close_stream(stream);
                 }
             }
-            if let Some(session) = self.pooled_sessions.remove(&name) {
+            if let Some(session) = self.sessions.remove(&name) {
                 let _ = session.shutdown();
             }
             return Err(err);
@@ -957,29 +737,13 @@ impl Proxy {
 
     /// A full status snapshot (what the control manager renders).
     pub fn status(&self) -> ProxyStatus {
-        let mut sessions: Vec<SessionStatus> = self
-            .sessions
-            .values()
-            .map(Session::status)
-            .chain(self.pooled_sessions.values().map(PooledSession::status))
-            .collect();
-        sessions.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut transports: Vec<UdpTransportStatus> = self
-            .udp_streams
+        let sessions: Vec<SessionStatus> =
+            self.sessions.values().map(PooledSession::status).collect();
+        let transports: Vec<UdpTransportStatus> = self
+            .udp_carriers
             .iter()
-            .map(|(name, transport)| transport.status(name))
-            .chain(
-                self.udp_sessions
-                    .iter()
-                    .map(|(name, transport)| transport.status(name)),
-            )
-            .chain(
-                self.udp_carriers
-                    .iter()
-                    .map(|(name, carrier)| carrier.status(name)),
-            )
+            .map(|(name, carrier)| carrier.status(name))
             .collect();
-        transports.sort_by(|a, b| a.name.cmp(&b.name));
         let streams: Vec<StreamStatus> = self
             .streams
             .iter()
@@ -1031,12 +795,7 @@ impl Proxy {
                 snapshot.push_stats(&format!("stream.{name}.secure"), secure.snapshot());
             }
         }
-        let sessions = self
-            .sessions
-            .values()
-            .map(Session::status)
-            .chain(self.pooled_sessions.values().map(PooledSession::status));
-        for session in sessions {
+        for session in self.sessions.values().map(PooledSession::status) {
             let scope = format!("session.{}", session.name);
             snapshot.push_stats(&format!("{scope}.head"), session.head_stats.snapshot());
             for lane in &session.lanes {
@@ -1046,33 +805,18 @@ impl Proxy {
                 snapshot.push_stats(&format!("{scope}.secure"), session.secure.snapshot());
             }
         }
-        let transports = self
-            .udp_streams
-            .iter()
-            .map(|(name, transport)| transport.status(name))
-            .chain(
-                self.udp_sessions
-                    .iter()
-                    .map(|(name, transport)| transport.status(name)),
-            )
-            .chain(
-                self.udp_carriers
-                    .iter()
-                    .map(|(name, carrier)| carrier.status(name)),
-            );
-        for transport in transports {
-            let scope = format!("udp.{}", transport.name);
+        for (name, carrier) in &self.udp_carriers {
+            let transport = carrier.status(name);
+            let scope = format!("udp.{name}");
             snapshot.push_stats(&format!("{scope}.ingress"), transport.ingress.snapshot());
             snapshot.push_stats(&format!("{scope}.egress"), transport.egress.snapshot());
-            if transport.shared {
-                snapshot.push_stats(
-                    &scope,
-                    vec![rapidware_telemetry::Metric::new(
-                        "unknown_streams",
-                        transport.unknown_streams,
-                    )],
-                );
-            }
+            snapshot.push_stats(
+                &scope,
+                vec![rapidware_telemetry::Metric::new(
+                    "unknown_streams",
+                    transport.unknown_streams,
+                )],
+            );
         }
         if let Some(runtime) = &self.runtime {
             snapshot.push_stats("runtime", runtime.status().snapshot());
@@ -1095,26 +839,11 @@ impl Proxy {
     /// the remaining streams regardless).
     pub fn shutdown(&mut self) -> Result<(), ProxyError> {
         let mut first_error = None;
-        // Transport teardown brackets the chain teardown: ingress pumps
-        // stop first (while their chains are still draining, so a pump
-        // blocked on chain back-pressure can always exit), the chain
-        // inputs close so every chain flushes, and the egress pumps are
-        // joined last — after the chains have delivered their final
-        // output, so nothing in flight is stranded.
-        let mut udp_streams = std::mem::take(&mut self.udp_streams);
-        let mut udp_sessions = std::mem::take(&mut self.udp_sessions);
+        // Carrier teardown brackets the chain teardown: the receive-side
+        // task stops first (one final drain, then no new arrivals), the
+        // routes close so every riding chain and session sees end-of-input
+        // and flushes, and the send-side tasks stop last.
         let udp_carriers = std::mem::take(&mut self.udp_carriers);
-        for transport in udp_streams.values_mut() {
-            transport.ingress.shutdown();
-            transport.input.close();
-        }
-        for transport in udp_sessions.values_mut() {
-            transport.ingress.shutdown();
-            transport.input.close();
-        }
-        // Carriers follow the same bracket: the receive-side task stops
-        // first (one final drain, then no new arrivals), the routes close
-        // so every riding chain and session sees end-of-input and flushes.
         for carrier in udp_carriers.values() {
             if let Err(err) = carrier.ingress_driver.shutdown() {
                 first_error.get_or_insert(err);
@@ -1129,19 +858,6 @@ impl Proxy {
         for (_, session) in std::mem::take(&mut self.sessions) {
             if let Err(err) = session.shutdown() {
                 first_error.get_or_insert(err);
-            }
-        }
-        for (_, session) in std::mem::take(&mut self.pooled_sessions) {
-            if let Err(err) = session.shutdown() {
-                first_error.get_or_insert(err);
-            }
-        }
-        for transport in udp_streams.values_mut() {
-            transport.egress.shutdown();
-        }
-        for transport in udp_sessions.values_mut() {
-            for (_, egress) in &mut transport.lanes {
-                egress.shutdown();
             }
         }
         // The carriers' send-side tasks stop after the chains have
@@ -1277,11 +993,11 @@ mod tests {
 
     #[test]
     fn sessions_report_per_lane_status_instead_of_flattened_streams() {
-        let mut proxy = Proxy::new("edge");
+        let mut proxy = Proxy::with_runtime("edge", RuntimeConfig::new(2, 8));
         proxy.add_stream("plain").unwrap();
-        let input = proxy.add_session("fanout", 64, 8).unwrap();
-        let wired = proxy.session("fanout").unwrap().add_lane("wired").unwrap();
-        let wlan = proxy.session("fanout").unwrap().add_lane("wlan").unwrap();
+        let input = proxy.add_session_pooled("fanout", 64, 8).unwrap();
+        let wired = proxy.pooled_session("fanout").unwrap().add_lane("wired").unwrap();
+        let wlan = proxy.pooled_session("fanout").unwrap().add_lane("wlan").unwrap();
         for seq in 0..4 {
             input.send(packet(seq)).unwrap();
         }
@@ -1302,9 +1018,13 @@ mod tests {
             assert_eq!(lane.delivered, 4);
             assert_eq!(lane.queue_depth, 0);
         }
+        assert_eq!(proxy.session_names(), vec!["fanout"]);
         // Duplicate and unknown session names are rejected.
-        assert!(proxy.add_session("fanout", 64, 8).is_err());
-        assert!(matches!(proxy.session("nope"), Err(ProxyError::UnknownSession(_))));
+        assert!(proxy.add_session_pooled("fanout", 64, 8).is_err());
+        assert!(matches!(
+            proxy.pooled_session("nope"),
+            Err(ProxyError::UnknownSession(_))
+        ));
         proxy.shutdown().unwrap();
     }
 
@@ -1331,31 +1051,6 @@ mod tests {
         let runtime = status.runtime.expect("runtime status present in pooled mode");
         assert_eq!(runtime.workers, 2);
         assert_eq!(runtime.shards.len(), 2);
-        proxy.shutdown().unwrap();
-    }
-
-    #[test]
-    fn pooled_sessions_report_like_threaded_ones() {
-        let mut proxy = Proxy::with_runtime("mixed", RuntimeConfig::new(2, 8));
-        let input = proxy.add_session_pooled("fanout", 64, 8).unwrap();
-        let lane = proxy.pooled_session("fanout").unwrap().add_lane("wired").unwrap();
-        for seq in 0..4 {
-            input.send(packet(seq)).unwrap();
-        }
-        for _ in 0..4 {
-            lane.recv().unwrap();
-        }
-        let status = proxy.status();
-        assert_eq!(status.sessions.len(), 1);
-        assert_eq!(status.sessions[0].lanes[0].delivered, 4);
-        assert_eq!(proxy.session_names(), vec!["fanout"]);
-        // Threaded and pooled sessions share one namespace.
-        assert!(proxy.add_session("fanout", 64, 8).is_err());
-        assert!(proxy.add_session_pooled("fanout", 64, 8).is_err());
-        assert!(matches!(
-            proxy.pooled_session("nope"),
-            Err(ProxyError::UnknownSession(_))
-        ));
         proxy.shutdown().unwrap();
     }
 
@@ -1408,17 +1103,33 @@ mod tests {
         socket.send_to(&scratch, peer).unwrap();
     }
 
+    /// Waits (bounded) until `predicate` holds: egress counters move only
+    /// after the OS accepted a datagram, so a receiver can observe a frame
+    /// a moment before its sender's counter does.
+    fn wait_for(what: &str, predicate: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while !predicate() {
+            assert!(std::time::Instant::now() < deadline, "{what} never happened");
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn udp_streams_carry_packets_over_real_sockets() {
-        let mut proxy = Proxy::new("wire");
+        let mut proxy = Proxy::with_runtime("wire", RuntimeConfig::new(2, 8));
         // The application's receiving endpoint.
         let app_rx = rapidware_transport::UdpIngress::bind(
             "127.0.0.1:0",
             &rapidware_transport::UdpConfig::default(),
         )
         .unwrap();
+        let carrier = proxy.add_udp_carrier("wire", UdpCarrierConfig::new()).unwrap();
         let handle = proxy
-            .add_stream_udp("audio", UdpStreamConfig::to_peer(app_rx.local_addr()))
+            .add_stream_udp_shared(
+                "audio",
+                SharedUdpStreamConfig::on_carrier("wire", app_rx.local_addr())
+                    .with_stream(StreamId::new(1)),
+            )
             .unwrap();
         // The stream is an ordinary stream: filters splice in live.
         proxy.insert_filter("audio", 0, &FilterSpec::new("tap").with_param("name", "wire")).unwrap();
@@ -1434,80 +1145,49 @@ mod tests {
         // Ending the stream from the proxy side flushes and FINs.
         handle.close_input();
         assert!(app_rx.recv().is_err(), "FIN must end the app-side stream");
+        wait_for("the FIN's tx count", || carrier.egress_stats().tx_packets() == 17);
 
         let status = proxy.status();
         assert_eq!(status.transports.len(), 1);
         let transport = &status.transports[0];
-        assert_eq!(transport.name, "audio");
-        assert!(!transport.session);
+        assert_eq!(transport.name, "wire");
         assert_eq!(transport.ingress.rx_packets, 16);
         assert_eq!(transport.egress.tx_packets, 17, "16 data + 1 FIN");
-        assert_eq!(handle.ingress_stats().rx_packets(), 16);
-        assert_eq!(handle.egress_stats().tx_packets(), 17);
-        assert_ne!(handle.egress_addr().port(), 0);
-        // The control protocol renders the endpoint counters.
+        assert_eq!(carrier.ingress_stats().rx_packets(), 16);
+        // The control protocol renders the carrier counters.
         let rendered = crate::Response::Status(status).to_string();
-        assert!(rendered.contains("udp=audio:stream"), "{rendered}");
+        assert!(rendered.contains("udp=wire at="), "{rendered}");
         assert!(rendered.contains("rx=16"), "{rendered}");
         proxy.shutdown().unwrap();
     }
 
     #[test]
-    fn udp_sessions_fan_out_to_per_lane_sockets() {
-        let config = rapidware_transport::UdpConfig::default();
-        let lane_a = rapidware_transport::UdpIngress::bind("127.0.0.1:0", &config).unwrap();
-        let lane_b = rapidware_transport::UdpIngress::bind("127.0.0.1:0", &config).unwrap();
-        let mut proxy = Proxy::with_runtime("wire", RuntimeConfig::new(2, 8));
-        let handle = proxy
-            .add_session_udp(
-                "fanout",
-                UdpSessionConfig::new()
-                    .pooled()
-                    .with_lane("a", lane_a.local_addr())
-                    .with_lane("b", lane_b.local_addr()),
-            )
-            .unwrap();
-        assert_eq!(proxy.session_names(), vec!["fanout"]);
-        let app_tx = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
-        for seq in 0..8 {
-            encode_to(&app_tx, handle.ingress_addr(), &packet(seq));
-        }
-        for seq in 0..8 {
-            assert_eq!(lane_a.recv().unwrap().seq().value(), seq);
-            assert_eq!(lane_b.recv().unwrap().seq().value(), seq);
-        }
-        handle.close_input();
-        assert!(lane_a.recv().is_err(), "lane a must see the FIN");
-        assert!(lane_b.recv().is_err(), "lane b must see the FIN");
-        assert_eq!(handle.lane_stats("a").unwrap().tx_packets(), 9);
-        assert!(handle.lane_stats("nope").is_none());
-        let status = proxy.status();
-        assert_eq!(status.transports.len(), 1);
-        assert!(status.transports[0].session);
-        assert_eq!(status.transports[0].egress.tx_packets, 18, "two lanes x (8 + FIN)");
-        proxy.shutdown().unwrap();
-    }
-
-    #[test]
     fn udp_failures_leave_no_half_installed_stream_behind() {
-        let mut proxy = Proxy::new("wire");
-        let peer = std::net::SocketAddr::from(([127, 0, 0, 1], 9));
-        // Binding a non-local address fails; the stream name must be free
+        let mut proxy = Proxy::with_runtime("wire", RuntimeConfig::new(1, 4));
+        // Binding a non-local address fails; the carrier name must be free
         // again afterwards.
-        let bogus = UdpStreamConfig::to_peer(peer)
-            .with_ingress_bind(std::net::SocketAddr::from(([203, 0, 113, 1], 0)));
+        let bogus =
+            UdpCarrierConfig::new().with_bind(std::net::SocketAddr::from(([203, 0, 113, 1], 0)));
         assert!(matches!(
-            proxy.add_stream_udp("s", bogus),
+            proxy.add_udp_carrier("wire", bogus),
             Err(ProxyError::Transport(_))
         ));
-        assert!(proxy.stream_names().is_empty());
-        // Pooled placement still requires a runtime.
+        assert!(proxy.carrier_names().is_empty());
+        assert_eq!(proxy.runtime().unwrap().reactor_sockets(), 0);
+        proxy.add_udp_carrier("wire", UdpCarrierConfig::new()).unwrap();
+        // A placement that fails half-way (its stream id is taken) leaves
+        // no stream behind, and the name stays usable.
+        let peer = std::net::SocketAddr::from(([127, 0, 0, 1], 9));
+        let on_wire = |stream| {
+            SharedUdpStreamConfig::on_carrier("wire", peer).with_stream(StreamId::new(stream))
+        };
+        proxy.add_stream_udp_shared("s", on_wire(1)).unwrap();
         assert!(matches!(
-            proxy.add_stream_udp("s", UdpStreamConfig::to_peer(peer).pooled()),
-            Err(ProxyError::RuntimeDisabled)
+            proxy.add_stream_udp_shared("t", on_wire(1)),
+            Err(ProxyError::Splice(_))
         ));
-        // And the name stays usable for a working configuration.
-        proxy.add_stream_udp("s", UdpStreamConfig::to_peer(peer)).unwrap();
+        assert_eq!(proxy.stream_names(), vec!["s"]);
+        proxy.add_stream_udp_shared("t", on_wire(2)).unwrap();
         proxy.shutdown().unwrap();
     }
 
@@ -1598,14 +1278,13 @@ mod tests {
             std::thread::yield_now();
         }
         let status = proxy.status();
-        let shared: Vec<_> = status.transports.iter().filter(|t| t.shared).collect();
-        assert_eq!(shared.len(), 1);
-        assert_eq!(shared[0].name, "wire");
-        assert!(!shared[0].session);
-        assert_eq!(shared[0].ingress.rx_packets, 17, "two live streams, one socket");
-        assert_eq!(shared[0].unknown_streams, 1);
+        assert_eq!(status.transports.len(), 1);
+        let transport = &status.transports[0];
+        assert_eq!(transport.name, "wire");
+        assert_eq!(transport.ingress.rx_packets, 17, "two live streams, one socket");
+        assert_eq!(transport.unknown_streams, 1);
         let rendered = crate::Response::Status(status).to_string();
-        assert!(rendered.contains("udp=wire:shared"), "{rendered}");
+        assert!(rendered.contains("udp=wire at="), "{rendered}");
         assert!(rendered.contains("unknown-stream=1"), "{rendered}");
 
         // Zero pump threads: the only live transport machinery is the
@@ -1658,10 +1337,9 @@ mod tests {
         drain_app_until(&app_b, || {
             matches!(lane_b.try_recv(), Err(rapidware_streams::TryRecvError::Eof))
         });
+        wait_for("both FINs' tx counts", || carrier.egress_stats().tx_packets() == 10);
         let status = proxy.status();
-        let shared: Vec<_> = status.transports.iter().filter(|t| t.shared).collect();
-        assert_eq!(shared[0].egress.tx_packets, 10, "two lanes x (4 + FIN)");
-        let _ = carrier;
+        assert_eq!(status.transports[0].egress.tx_packets, 10, "two lanes x (4 + FIN)");
         proxy.shutdown().unwrap();
     }
 

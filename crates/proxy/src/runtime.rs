@@ -3,10 +3,9 @@
 //!
 //! The thread-per-filter [`ThreadedChain`](crate::ThreadedChain) is the
 //! faithful port of the paper's architecture, but it spends one OS thread
-//! per filter and one more per fanout session — at hundreds of concurrent
-//! sessions the thread count, stack memory, and context-switch load topple
-//! the proxy long before the hardware does.  This module is the scalable
-//! alternative, shaped like the worker-multiplexed stage executors of
+//! per filter — at hundreds of concurrent sessions the thread count, stack
+//! memory, and context-switch load topple the proxy long before the
+//! hardware does.  This module is the production placement, shaped like the worker-multiplexed stage executors of
 //! streaming-pipe systems: a [`Runtime`] owns `shards` worker threads, each
 //! with its own run queue of **chain tasks**, and every
 //! [`PooledChain`]/[`PooledSession`] is a set of such tasks instead of a
@@ -718,10 +717,9 @@ impl Runtime {
         }
     }
 
-    /// Creates a fanout session hosted on this pool (the pooled analogue of
-    /// [`Session`](crate::Session)): one input, a shared head chain task, a
-    /// fanout task, and live-addable receiver lanes, each a chain task of
-    /// its own.
+    /// Creates a fanout session hosted on this pool: one input, a shared
+    /// head chain task, a fanout task, and live-addable receiver lanes,
+    /// each a chain task of its own.
     pub fn add_session(self: &Arc<Self>, name: impl Into<String>) -> PooledSession {
         self.add_session_with(
             name,
@@ -1560,16 +1558,42 @@ struct PooledLanes {
     closed: bool,
 }
 
-/// A fanout session hosted on a [`Runtime`] worker pool: the pooled
-/// analogue of [`Session`](crate::Session).
+/// A fanout session hosted on a [`Runtime`] worker pool: one upstream
+/// source, a shared head chain, and N independently adapted receiver
+/// lanes.
 ///
 /// One head chain task does the shared work once per packet, a fanout task
-/// clones each batch to every lane (zero-copy: payloads are `Arc`-backed),
-/// and each lane is a chain task of its own — so a session costs **zero**
+/// clones each batch to every lane (zero-copy: payloads are `Arc`-backed,
+/// and a lane filter that rewrites bytes gets a private copy on write), and
+/// each lane is a chain task of its own — so a session costs **zero**
 /// dedicated threads, and hundreds of sessions share the pool's fixed
-/// workers.  Unlike the threaded session, lanes can also be removed while
-/// the session runs ([`remove_lane`](Self::remove_lane)), which the soak
-/// suite exercises as continuous churn.
+/// workers.  Lanes can be added and removed while the session runs
+/// ([`remove_lane`](Self::remove_lane)), which the soak suite exercises as
+/// continuous churn.
+///
+/// ```
+/// use rapidware_packet::{Packet, PacketKind, SeqNo, StreamId};
+/// use rapidware_proxy::runtime::{Runtime, RuntimeConfig};
+///
+/// # fn main() -> Result<(), rapidware_proxy::ProxyError> {
+/// let runtime = Runtime::start(RuntimeConfig::new(2, 8));
+/// let session = runtime.add_session("audio");
+/// let wired = session.add_lane("wired")?;
+/// let wlan = session.add_lane("wlan")?;
+///
+/// session.input()
+///     .send(Packet::new(StreamId::new(1), SeqNo::new(0), PacketKind::AudioData, vec![7; 64]))
+///     .expect("session accepts packets");
+///
+/// // Both lanes receive the packet; the payloads share one allocation.
+/// let a = wired.recv().expect("wired lane delivers");
+/// let b = wlan.recv().expect("wlan lane delivers");
+/// assert!(a.shares_payload_with(&b), "fanout is zero-copy");
+/// session.shutdown()?;
+/// runtime.shutdown()?;
+/// # Ok(())
+/// # }
+/// ```
 pub struct PooledSession {
     name: String,
     registry: FilterRegistry,
@@ -1761,9 +1785,10 @@ impl PooledSession {
     }
 
     /// Instantiates a filter from `spec` and splices it into `lane`'s tail
-    /// chain at `position` — the per-receiver adaptation path.  As with the
-    /// threaded session, the built-in `fec-decoder` kind keeps its stats
-    /// handle so per-lane `recovered` counts surface in the status.
+    /// chain at `position` — the per-receiver adaptation path: only this
+    /// lane's traffic flows through the new filter.  The built-in
+    /// `fec-decoder` kind keeps its stats handle so per-lane `recovered`
+    /// counts surface in the status.
     ///
     /// # Errors
     ///
@@ -1829,7 +1854,8 @@ impl PooledSession {
             .ok_or_else(|| ProxyError::UnknownLane(lane.to_string()))
     }
 
-    /// A full status snapshot, in the same shape as a threaded session's.
+    /// A full status snapshot: head-chain state plus per-lane delivery,
+    /// recovery, and queue-depth counters.
     pub fn status(&self) -> SessionStatus {
         let lanes = self.lanes.lock();
         let mut secure = self.head.secure_snapshot();
@@ -1881,8 +1907,7 @@ impl PooledSession {
         lanes.closed = true;
         // Close every lane delivery endpoint first: a lane task parked
         // against an abandoned (full, never drained) endpoint fails its
-        // sends immediately instead of wedging the fanout task — same
-        // ordering as the threaded session's shutdown.
+        // sends immediately instead of wedging the fanout task.
         for lane in lanes.live.iter().chain(lanes.retired.iter()) {
             lane.output.close();
         }

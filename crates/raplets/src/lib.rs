@@ -52,9 +52,7 @@ mod observer;
 mod responder;
 mod sample;
 
-pub use engine::{
-    apply_to_pooled_session, apply_to_proxy, apply_to_session, AdaptationEngine, AdaptationRecord,
-};
+pub use engine::{apply_to_pooled_session, apply_to_proxy, AdaptationEngine, AdaptationRecord};
 pub use observer::{AdaptationEvent, LossRateObserver, Observer, ThroughputObserver};
 pub use responder::{AdaptationAction, FecResponder, Responder, TranscoderResponder};
 pub use sample::LinkSample;

@@ -1,21 +1,21 @@
-//! The UDP endpoints: [`UdpIngress`] and [`UdpEgress`].
+//! The app-side UDP receiver: [`UdpIngress`], plus the shared
+//! [`UdpConfig`].
 //!
-//! Each endpoint pairs a socket with a pump thread and a detachable pipe.
-//! The pipe is what gives a socket the full endpoint surface the rest of
-//! the system is written against — blocking and non-blocking batch
-//! operations, watcher-based readiness, clean EOF — without teaching any
-//! chain, lane, or runtime task about sockets:
+//! An ingress pairs a bound socket with a pump thread and a detachable
+//! pipe of its own.  The pipe is what gives a socket the full receiver
+//! surface the rest of the system is written against — blocking and
+//! non-blocking batch receives, watcher-based readiness, clean EOF —
+//! without teaching any consumer about sockets:
 //!
 //! ```text
-//!   ingress:  socket ──(pump: decode, count)──▶ pipe ──▶ consumer/chain
-//!   egress:   producer/chain ──▶ pipe ──(pump: encode)──▶ socket
+//!   socket ──(pump: decode, count)──▶ pipe ──▶ consumer
 //! ```
 //!
-//! In **bridged** mode (`bind_into` / `drain`) the pipe belongs to someone
-//! else — a proxy chain input or output — so packets flow from the wire
-//! straight into a live filter chain and back out.  In **owned** mode
-//! (`bind` / `connect`) the endpoint creates its own pipe and exposes the
-//! pipe-endpoint surface by delegation.
+//! The proxy side never uses it: production traffic rides the
+//! reactor-driven [`SharedUdpIngress`](crate::SharedUdpIngress) /
+//! [`SharedUdpEgress`](crate::SharedUdpEgress) carriers.  `UdpIngress` is
+//! the blocking application-side endpoint that receives what a carrier
+//! sends.
 
 use std::fmt;
 use std::io;
@@ -27,22 +27,22 @@ use std::time::Duration;
 
 use rapidware_packet::Packet;
 use rapidware_streams::{
-    pipe, DetachableReceiver, DetachableSender, PipeWatcher, RecvError, SendError, TryRecvError,
+    pipe, DetachableReceiver, DetachableSender, PipeWatcher, RecvError, TryRecvError,
 };
 
 use crate::stats::TransportStats;
-use crate::{fin_packet, fits_in_datagram, is_fin, is_stream_fin, MAX_DATAGRAM_LEN};
+use crate::{is_stream_fin, MAX_DATAGRAM_LEN};
 
 /// Tuning for a UDP endpoint.
 #[derive(Debug, Clone)]
 pub struct UdpConfig {
-    /// Capacity (in packets) of the endpoint's detachable pipe; this is the
-    /// back-pressure window between the socket and the consumer/producer.
+    /// Capacity (in packets) of the pipe behind each receiving route; this
+    /// is the back-pressure window between the socket and the consumer.
     pub capacity: usize,
-    /// Batch size the pumps move per lock acquisition.
+    /// How many datagrams one shared-socket drain or flush pass moves.
     pub batch_size: usize,
-    /// How often a pump re-checks its shutdown flag while idle.  Pure
-    /// shutdown latency — it never gates data movement.
+    /// How often an ingress pump re-checks its shutdown flag while idle.
+    /// Pure shutdown latency — it never gates data movement.
     pub poll_interval: Duration,
 }
 
@@ -69,7 +69,7 @@ impl UdpConfig {
         self
     }
 
-    /// Overrides the pump batch size.
+    /// Overrides the batch size.
     #[must_use]
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size.max(1);
@@ -77,24 +77,18 @@ impl UdpConfig {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Ingress.
-// ---------------------------------------------------------------------------
-
-/// The receiving half of the datagram transport: a bound socket whose pump
-/// decodes each arriving datagram and delivers it into a detachable pipe.
+/// A blocking UDP receiver: a bound socket whose pump thread decodes each
+/// arriving datagram into the endpoint's own detachable pipe, exposed
+/// through `recv` / `recv_up_to` / `try_recv_up_to` / watcher registration
+/// by delegation.
 ///
-/// Created with [`bind`](UdpIngress::bind) (owned pipe: this endpoint *is*
-/// the consumer-facing receiver, exposing `recv` / `recv_up_to` /
-/// `try_recv_up_to` / watcher registration by delegation) or
-/// [`bind_into`](UdpIngress::bind_into) (bridged: datagrams land on a pipe
-/// sender supplied by the caller, e.g. a proxy chain input).
-///
-/// A received FIN frame closes the pipe, so consumers observe the same
-/// clean end of stream a local producer's `close()` would deliver.
+/// A received per-stream FIN ([`stream_fin_packet`](crate::stream_fin_packet))
+/// closes the pipe, so consumers observe the same clean end of stream a
+/// local producer's `close()` would deliver.  The endpoint carries exactly
+/// one logical stream, so the FIN's stream id is not checked.
 pub struct UdpIngress {
     local_addr: SocketAddr,
-    receiver: Option<DetachableReceiver<Packet>>,
+    receiver: DetachableReceiver<Packet>,
     stats: TransportStats,
     stop: Arc<AtomicBool>,
     pump: Option<JoinHandle<()>>,
@@ -104,7 +98,6 @@ impl fmt::Debug for UdpIngress {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("UdpIngress")
             .field("local_addr", &self.local_addr)
-            .field("owned_pipe", &self.receiver.is_some())
             .field("rx_packets", &self.stats.rx_packets())
             .finish()
     }
@@ -118,27 +111,10 @@ impl UdpIngress {
     ///
     /// Returns the socket `bind`/configuration error, if any.
     pub fn bind(addr: impl ToSocketAddrs, config: &UdpConfig) -> io::Result<Self> {
-        let (sink, receiver) = pipe(config.capacity);
-        let mut ingress = Self::bind_into(addr, sink, config)?;
-        ingress.receiver = Some(receiver);
-        Ok(ingress)
-    }
-
-    /// Binds a socket on `addr` and delivers decoded packets into `sink` —
-    /// the bridged mode the proxy uses to run datagrams straight into a
-    /// live chain input.
-    ///
-    /// # Errors
-    ///
-    /// Returns the socket `bind`/configuration error, if any.
-    pub fn bind_into(
-        addr: impl ToSocketAddrs,
-        sink: DetachableSender<Packet>,
-        config: &UdpConfig,
-    ) -> io::Result<Self> {
         let socket = UdpSocket::bind(addr)?;
         socket.set_read_timeout(Some(config.poll_interval))?;
         let local_addr = socket.local_addr()?;
+        let (sink, receiver) = pipe(config.capacity);
         let stats = TransportStats::new();
         let stop = Arc::new(AtomicBool::new(false));
         let pump = {
@@ -151,7 +127,7 @@ impl UdpIngress {
         };
         Ok(Self {
             local_addr,
-            receiver: None,
+            receiver,
             stats,
             stop,
             pump: Some(pump),
@@ -170,39 +146,24 @@ impl UdpIngress {
     }
 
     /// A clone of the consumer-facing pipe receiver, for handing to code
-    /// written against [`DetachableReceiver`] (owned mode only).
-    ///
-    /// # Panics
-    ///
-    /// Panics in bridged mode (`bind_into`), where the consumer side
-    /// belongs to the caller.
+    /// written against [`DetachableReceiver`].
     pub fn receiver(&self) -> DetachableReceiver<Packet> {
-        self.pipe().clone()
+        self.receiver.clone()
     }
 
-    fn pipe(&self) -> &DetachableReceiver<Packet> {
-        self.receiver
-            .as_ref()
-            .expect("this ingress was bound into an external pipe; read from that pipe instead")
-    }
-
-    /// Blocks until a packet arrives and returns it (owned mode only; see
+    /// Blocks until a packet arrives and returns it (see
     /// [`DetachableReceiver::recv`]).
     ///
     /// # Errors
     ///
     /// Returns [`RecvError::Eof`] after a FIN frame drained, or
     /// [`RecvError::Closed`] if the pipe was closed locally.
-    ///
-    /// # Panics
-    ///
-    /// Panics in bridged mode.
     pub fn recv(&self) -> Result<Packet, RecvError> {
-        self.pipe().recv()
+        self.receiver.recv()
     }
 
     /// Receives up to `max` buffered packets, blocking only for the first
-    /// (owned mode only; see [`DetachableReceiver::recv_up_to`]).
+    /// (see [`DetachableReceiver::recv_up_to`]).
     ///
     /// # Errors
     ///
@@ -210,13 +171,13 @@ impl UdpIngress {
     ///
     /// # Panics
     ///
-    /// Panics in bridged mode, or if `max` is zero.
+    /// Panics if `max` is zero.
     pub fn recv_up_to(&self, max: usize) -> Result<Vec<Packet>, RecvError> {
-        self.pipe().recv_up_to(max)
+        self.receiver.recv_up_to(max)
     }
 
-    /// Receives up to `max` buffered packets without blocking (owned mode
-    /// only; see [`DetachableReceiver::try_recv_up_to`]).
+    /// Receives up to `max` buffered packets without blocking (see
+    /// [`DetachableReceiver::try_recv_up_to`]).
     ///
     /// # Errors
     ///
@@ -225,9 +186,9 @@ impl UdpIngress {
     ///
     /// # Panics
     ///
-    /// Panics in bridged mode, or if `max` is zero.
+    /// Panics if `max` is zero.
     pub fn try_recv_up_to(&self, max: usize) -> Result<Vec<Packet>, TryRecvError> {
-        self.pipe().try_recv_up_to(max)
+        self.receiver.try_recv_up_to(max)
     }
 
     /// Like [`recv`](Self::recv) but gives up after `timeout`.
@@ -236,57 +197,30 @@ impl UdpIngress {
     ///
     /// Returns [`TryRecvError::Empty`] on timeout, plus the usual
     /// end-of-stream errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics in bridged mode.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Packet, TryRecvError> {
-        self.pipe().recv_timeout(timeout)
+        self.receiver.recv_timeout(timeout)
     }
 
-    /// Installs the data-readiness watcher on the consumer side (owned mode
-    /// only; see [`DetachableReceiver::set_data_watcher`] — registration
-    /// fires immediately when data, EOF, or close is already observable).
-    ///
-    /// # Panics
-    ///
-    /// Panics in bridged mode.
+    /// Installs the data-readiness watcher on the consumer side (see
+    /// [`DetachableReceiver::set_data_watcher`] — registration fires
+    /// immediately when data, EOF, or close is already observable).
     pub fn set_data_watcher(&self, watcher: Arc<dyn PipeWatcher>) {
-        self.pipe().set_data_watcher(watcher);
+        self.receiver.set_data_watcher(watcher);
     }
 
-    /// Number of packets currently buffered (owned mode only).
-    ///
-    /// # Panics
-    ///
-    /// Panics in bridged mode.
+    /// Number of packets currently buffered.
     pub fn available(&self) -> usize {
-        self.pipe().available()
+        self.receiver.available()
     }
 
     /// Stops the pump thread and waits for it to exit.
     ///
-    /// Teardown ordering is identical to `Drop`: the owned pipe (if any) is
-    /// closed *before* the join, so a pump stalled on back-pressure — or a
+    /// Teardown ordering is identical to `Drop`: the pipe is closed
+    /// *before* the join, so a pump stalled on back-pressure — or a
     /// consumer blocked on `recv` — is released and the join cannot hang.
-    /// In bridged mode the downstream pipe belongs to the caller and is
-    /// left untouched; it must still be draining (or be closed) for the
-    /// pump to observe the flag, which is why the proxy shuts ingress
-    /// endpoints down while their chains are still live.
     pub fn shutdown(&mut self) {
-        self.teardown();
-    }
-
-    /// The single teardown path shared by [`shutdown`](Self::shutdown) and
-    /// `Drop`: flag the pump, close the owned pipe (releasing anything
-    /// blocked on it), then join.
-    fn teardown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        // Closing the owned pipe unblocks a pump stalled on back-pressure;
-        // a bridged pipe belongs to the caller and is left untouched.
-        if let Some(receiver) = &self.receiver {
-            receiver.close();
-        }
+        self.receiver.close();
         if let Some(pump) = self.pump.take() {
             let _ = pump.join();
         }
@@ -295,7 +229,7 @@ impl UdpIngress {
 
 impl Drop for UdpIngress {
     fn drop(&mut self) {
-        self.teardown();
+        self.shutdown();
     }
 }
 
@@ -319,11 +253,8 @@ fn pump_ingress(
         };
         stats.record_rx_datagram();
         match Packet::decode(&buf[..len]) {
-            Ok(packet) if is_fin(&packet) || is_stream_fin(&packet) => {
+            Ok(packet) if is_stream_fin(&packet) => {
                 // The remote stream ended: propagate EOF through the pipe.
-                // A dedicated socket carries exactly one logical stream, so
-                // a per-stream FIN (from a shared egress) ends it just like
-                // the legacy transport-wide FIN does.
                 sink.close();
                 return;
             }
@@ -344,302 +275,6 @@ fn pump_ingress(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Egress.
-// ---------------------------------------------------------------------------
-
-/// The sending half of the datagram transport: a pump drains a detachable
-/// pipe, frames each packet, and sends one datagram per packet to `peer`.
-///
-/// Created with [`connect`](UdpEgress::connect) (owned pipe: this endpoint
-/// *is* the producer-facing sender, exposing `send` / `send_batch` /
-/// `try_send_batch` / watcher registration by delegation) or
-/// [`drain`](UdpEgress::drain) (bridged: the pump drains a pipe receiver
-/// supplied by the caller, e.g. a proxy chain output).
-///
-/// When the upstream pipe reports EOF the pump sends a FIN frame so the
-/// remote ingress can close its stream, then exits.
-pub struct UdpEgress {
-    local_addr: SocketAddr,
-    peer: SocketAddr,
-    sender: Option<DetachableSender<Packet>>,
-    stats: TransportStats,
-    stop: Arc<AtomicBool>,
-    pump: Option<JoinHandle<()>>,
-}
-
-impl fmt::Debug for UdpEgress {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("UdpEgress")
-            .field("local_addr", &self.local_addr)
-            .field("peer", &self.peer)
-            .field("owned_pipe", &self.sender.is_some())
-            .field("tx_packets", &self.stats.tx_packets())
-            .finish()
-    }
-}
-
-impl UdpEgress {
-    /// Creates an egress with its own pipe: packets written through this
-    /// endpoint's sender surface are framed and sent to `peer`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the socket `bind`/configuration error, if any.
-    pub fn connect(peer: impl ToSocketAddrs, config: &UdpConfig) -> io::Result<Self> {
-        let (sender, source) = pipe(config.capacity);
-        let mut egress = Self::drain(source, peer, config)?;
-        egress.sender = Some(sender);
-        Ok(egress)
-    }
-
-    /// Creates an egress whose pump drains `source` — the bridged mode the
-    /// proxy uses to put a live chain output on the wire.
-    ///
-    /// # Errors
-    ///
-    /// Returns the socket `bind`/configuration error, if any.
-    pub fn drain(
-        source: DetachableReceiver<Packet>,
-        peer: impl ToSocketAddrs,
-        config: &UdpConfig,
-    ) -> io::Result<Self> {
-        let peer = crate::resolve_peer(peer)?;
-        let socket = UdpSocket::bind((loopback_like(&peer), 0))?;
-        let local_addr = socket.local_addr()?;
-        let stats = TransportStats::new();
-        let stop = Arc::new(AtomicBool::new(false));
-        let pump = {
-            let stats = stats.clone();
-            let stop = Arc::clone(&stop);
-            let poll = config.poll_interval;
-            // Clamped here as well as in the builder: the field is public,
-            // and a zero batch would panic the pump's try_recv_up_to.
-            let batch = config.batch_size.max(1);
-            std::thread::Builder::new()
-                .name(format!("udp-egress-{local_addr}"))
-                .spawn(move || pump_egress(&socket, &source, peer, &stats, &stop, poll, batch))
-                .expect("spawning the egress pump thread")
-        };
-        Ok(Self {
-            local_addr,
-            peer,
-            sender: None,
-            stats,
-            stop,
-            pump: Some(pump),
-        })
-    }
-
-    /// The socket's bound (source) address.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// The destination every framed packet is sent to.
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.peer
-    }
-
-    /// This endpoint's transfer counters.
-    pub fn stats(&self) -> TransportStats {
-        self.stats.clone()
-    }
-
-    /// A clone of the producer-facing pipe sender, for handing to code
-    /// written against [`DetachableSender`] (owned mode only).
-    ///
-    /// # Panics
-    ///
-    /// Panics in bridged mode (`drain`), where the producer side belongs to
-    /// the caller.
-    pub fn sender(&self) -> DetachableSender<Packet> {
-        self.pipe().clone()
-    }
-
-    fn pipe(&self) -> &DetachableSender<Packet> {
-        self.sender
-            .as_ref()
-            .expect("this egress drains an external pipe; write into that pipe instead")
-    }
-
-    /// Queues one packet for transmission, blocking under back-pressure
-    /// (owned mode only; see [`DetachableSender::send`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the pipe's [`SendError`] if the endpoint was closed.
-    ///
-    /// # Panics
-    ///
-    /// Panics in bridged mode.
-    pub fn send(&self, packet: Packet) -> Result<(), SendError<Packet>> {
-        self.pipe().send(packet)
-    }
-
-    /// Queues a whole batch with one lock acquisition (owned mode only; see
-    /// [`DetachableSender::send_batch`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the pipe's [`SendError`] carrying the undelivered packets.
-    ///
-    /// # Panics
-    ///
-    /// Panics in bridged mode.
-    pub fn send_batch(&self, packets: Vec<Packet>) -> Result<(), SendError<Vec<Packet>>> {
-        self.pipe().send_batch(packets)
-    }
-
-    /// Queues as much of `packets` as currently fits without blocking and
-    /// returns the rest (owned mode only; see
-    /// [`DetachableSender::try_send_batch`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the pipe's [`SendError`] carrying the undelivered packets.
-    ///
-    /// # Panics
-    ///
-    /// Panics in bridged mode.
-    pub fn try_send_batch(&self, packets: Vec<Packet>) -> Result<Vec<Packet>, SendError<Vec<Packet>>> {
-        self.pipe().try_send_batch(packets)
-    }
-
-    /// Installs the readiness watcher on the producer side (owned mode
-    /// only; see [`DetachableSender::set_ready_watcher`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics in bridged mode.
-    pub fn set_ready_watcher(&self, watcher: Arc<dyn PipeWatcher>) {
-        self.pipe().set_ready_watcher(watcher);
-    }
-
-    /// Ends the stream (owned mode only): the pump drains what is queued,
-    /// sends the FIN frame, and exits.
-    ///
-    /// # Panics
-    ///
-    /// Panics in bridged mode (close the upstream pipe instead).
-    pub fn close(&self) {
-        self.pipe().close();
-    }
-
-    /// Stops the pump thread and waits for it to exit.  This is an abort,
-    /// not a flush: the pump finishes at most the batch it is currently
-    /// sending and anything else still queued in the pipe is discarded —
-    /// use [`close`](Self::close) (or close the bridged upstream pipe) for
-    /// a clean end of stream.
-    ///
-    /// Teardown ordering is identical to `Drop`: the owned pipe (if any)
-    /// is closed *before* the join, so a producer blocked on a full pipe
-    /// is released and a back-pressured egress can never hang teardown.
-    pub fn shutdown(&mut self) {
-        self.teardown(true);
-    }
-
-    /// The single teardown path shared by [`shutdown`](Self::shutdown) and
-    /// `Drop`.  Both close the owned pipe before joining (releasing any
-    /// producer blocked on back-pressure); `abort` additionally flags the
-    /// pump to stop without draining, where a plain drop lets an owned
-    /// pump flush its queue and send the FIN.
-    fn teardown(&mut self, abort: bool) {
-        if let Some(sender) = &self.sender {
-            sender.close();
-        }
-        if abort || self.sender.is_none() {
-            // Bridged mode always flags the pump: the upstream pipe may
-            // outlive us, so the pump cannot wait for EOF.
-            self.stop.store(true, Ordering::SeqCst);
-        }
-        if let Some(pump) = self.pump.take() {
-            let _ = pump.join();
-        }
-    }
-}
-
-impl Drop for UdpEgress {
-    fn drop(&mut self) {
-        // A clean close first, so dropping an owned egress flushes and
-        // FINs; bridged mode stops the pump instead of waiting for EOF.
-        self.teardown(false);
-    }
-}
-
-/// Picks a bind address in the same family (and loopback-ness) as the
-/// peer, so an egress towards loopback never binds a routable interface.
-fn loopback_like(peer: &SocketAddr) -> std::net::IpAddr {
-    match peer {
-        SocketAddr::V4(v4) if v4.ip().is_loopback() => std::net::Ipv4Addr::LOCALHOST.into(),
-        SocketAddr::V4(_) => std::net::Ipv4Addr::UNSPECIFIED.into(),
-        SocketAddr::V6(v6) if v6.ip().is_loopback() => std::net::Ipv6Addr::LOCALHOST.into(),
-        SocketAddr::V6(_) => std::net::Ipv6Addr::UNSPECIFIED.into(),
-    }
-}
-
-fn pump_egress(
-    socket: &UdpSocket,
-    source: &DetachableReceiver<Packet>,
-    peer: SocketAddr,
-    stats: &TransportStats,
-    stop: &AtomicBool,
-    poll: Duration,
-    batch: usize,
-) {
-    let mut scratch = Vec::new();
-    loop {
-        // Checked every iteration, not only when idle: a producer that
-        // never pauses must not be able to starve a shutdown.
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match source.recv_timeout(poll) {
-            Ok(packet) => {
-                send_frame(socket, peer, &packet, &mut scratch, stats);
-                // Opportunistically move whatever else is queued, one
-                // batch per lock acquisition, re-checking the stop flag
-                // between batches.
-                while !stop.load(Ordering::SeqCst) {
-                    match source.try_recv_up_to(batch) {
-                        Ok(more) => {
-                            for packet in more {
-                                send_frame(socket, peer, &packet, &mut scratch, stats);
-                            }
-                        }
-                        Err(_) => break,
-                    }
-                }
-            }
-            Err(TryRecvError::Empty) => {}
-            Err(TryRecvError::Eof) => {
-                // Clean end of stream: tell the remote ingress.
-                send_frame(socket, peer, &fin_packet(), &mut scratch, stats);
-                return;
-            }
-            Err(TryRecvError::Closed) => return,
-        }
-    }
-}
-
-fn send_frame(
-    socket: &UdpSocket,
-    peer: SocketAddr,
-    packet: &Packet,
-    scratch: &mut Vec<u8>,
-    stats: &TransportStats,
-) {
-    if !fits_in_datagram(packet) {
-        stats.record_drop();
-        return;
-    }
-    packet.encode_into(scratch);
-    match socket.send_to(scratch, peer) {
-        Ok(_) => stats.record_tx(),
-        Err(_) => stats.record_drop(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -649,37 +284,35 @@ mod tests {
         Packet::new(StreamId::new(7), SeqNo::new(seq), PacketKind::AudioData, vec![seq as u8; 48])
     }
 
+    fn send(socket: &UdpSocket, peer: SocketAddr, packet: &Packet) {
+        socket.send_to(&packet.encode(), peer).expect("loopback send");
+    }
+
     #[test]
     fn loopback_round_trip_preserves_packets_in_order() {
         let config = UdpConfig::default();
         let ingress = UdpIngress::bind("127.0.0.1:0", &config).unwrap();
-        let egress = UdpEgress::connect(ingress.local_addr(), &config).unwrap();
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
         let sent: Vec<Packet> = (0..64).map(packet).collect();
-        egress.send_batch(sent.clone()).unwrap();
+        for p in &sent {
+            send(&tx, ingress.local_addr(), p);
+        }
         let mut received = Vec::new();
         while received.len() < sent.len() {
             received.extend(ingress.recv_up_to(16).expect("stream is still open"));
         }
         assert_eq!(received, sent);
-        // Receiving a datagram does not synchronise with the pump's relaxed
-        // counter bump, so give the final increments a moment to land.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-        while egress.stats().tx_packets() < 64 {
-            assert!(std::time::Instant::now() < deadline, "tx count never reached 64");
-            std::thread::yield_now();
-        }
-        assert_eq!(egress.stats().tx_packets(), 64);
         assert_eq!(ingress.stats().rx_packets(), 64);
         assert_eq!(ingress.stats().decode_errors(), 0);
     }
 
     #[test]
-    fn closing_the_egress_sends_fin_and_ends_the_stream() {
+    fn a_stream_fin_ends_the_stream() {
         let config = UdpConfig::default();
         let ingress = UdpIngress::bind("127.0.0.1:0", &config).unwrap();
-        let egress = UdpEgress::connect(ingress.local_addr(), &config).unwrap();
-        egress.send(packet(1)).unwrap();
-        egress.close();
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        send(&tx, ingress.local_addr(), &packet(1));
+        send(&tx, ingress.local_addr(), &crate::stream_fin_packet(StreamId::new(7)));
         assert_eq!(ingress.recv().unwrap().seq().value(), 1);
         assert_eq!(ingress.recv().unwrap_err(), RecvError::Eof);
     }
@@ -690,8 +323,7 @@ mod tests {
         let ingress = UdpIngress::bind("127.0.0.1:0", &config).unwrap();
         let probe = UdpSocket::bind("127.0.0.1:0").unwrap();
         probe.send_to(b"definitely not a packet", ingress.local_addr()).unwrap();
-        let egress = UdpEgress::connect(ingress.local_addr(), &config).unwrap();
-        egress.send(packet(9)).unwrap();
+        send(&probe, ingress.local_addr(), &packet(9));
         assert_eq!(ingress.recv().unwrap().seq().value(), 9);
         assert_eq!(ingress.stats().decode_errors(), 1);
         assert_eq!(ingress.stats().rx_datagrams(), 2);
@@ -699,40 +331,14 @@ mod tests {
     }
 
     #[test]
-    fn oversized_packets_are_dropped_at_the_egress() {
-        let config = UdpConfig::default();
-        let ingress = UdpIngress::bind("127.0.0.1:0", &config).unwrap();
-        let egress = UdpEgress::connect(ingress.local_addr(), &config).unwrap();
-        let oversized = Packet::new(
-            StreamId::new(1),
-            SeqNo::new(0),
-            PacketKind::Data,
-            vec![0u8; MAX_DATAGRAM_LEN],
-        );
-        egress.send(oversized).unwrap();
-        egress.send(packet(3)).unwrap();
-        // The oversized packet vanished; the next one flows.
-        assert_eq!(ingress.recv().unwrap().seq().value(), 3);
-        assert_eq!(egress.stats().dropped(), 1);
-        assert_eq!(egress.stats().tx_packets(), 1);
-    }
-
-    #[test]
     fn try_surfaces_work_over_sockets() {
-        let config = UdpConfig::default().with_capacity(4);
+        let config = UdpConfig::default().with_capacity(64);
         let ingress = UdpIngress::bind("127.0.0.1:0", &config).unwrap();
-        let egress = UdpEgress::connect(ingress.local_addr(), &config).unwrap();
-        // try_send_batch on the egress surface: everything fits eventually
-        // because the pump keeps draining.
-        let mut pending: Vec<Packet> = (0..32).map(packet).collect();
-        let deadline = std::time::Instant::now() + Duration::from_secs(20);
-        while !pending.is_empty() {
-            assert!(std::time::Instant::now() < deadline, "egress stalled");
-            pending = egress.try_send_batch(pending).unwrap();
-            if !pending.is_empty() {
-                std::thread::yield_now();
-            }
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        for seq in 0..32 {
+            send(&tx, ingress.local_addr(), &packet(seq));
         }
+        let deadline = std::time::Instant::now() + Duration::from_secs(20);
         let mut received = 0usize;
         while received < 32 {
             assert!(std::time::Instant::now() < deadline, "ingress stalled");
@@ -763,8 +369,8 @@ mod tests {
             cv: std::sync::Condvar::new(),
         });
         ingress.set_data_watcher(gate.clone());
-        let egress = UdpEgress::connect(ingress.local_addr(), &config).unwrap();
-        egress.send(packet(0)).unwrap();
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        send(&tx, ingress.local_addr(), &packet(0));
         let guard = gate.fired.lock().unwrap();
         let (guard, timeout) = gate
             .cv
@@ -777,61 +383,14 @@ mod tests {
 
     #[test]
     fn debug_impls_are_nonempty() {
-        let config = UdpConfig::default();
-        let ingress = UdpIngress::bind("127.0.0.1:0", &config).unwrap();
-        let egress = UdpEgress::connect(ingress.local_addr(), &config).unwrap();
+        let ingress = UdpIngress::bind("127.0.0.1:0", &UdpConfig::default()).unwrap();
         assert!(format!("{ingress:?}").contains("UdpIngress"));
-        assert!(format!("{egress:?}").contains("UdpEgress"));
-    }
-
-    /// Joins `handle` through a channel so a regression back to the old
-    /// teardown ordering fails the test instead of hanging it.
-    fn join_within(handle: std::thread::JoinHandle<()>, what: &str) {
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let waiter = std::thread::spawn(move || {
-            let _ = handle.join();
-            let _ = done_tx.send(());
-        });
-        done_rx
-            .recv_timeout(Duration::from_secs(30))
-            .unwrap_or_else(|_| panic!("{what} is still blocked after teardown"));
-        let _ = waiter.join();
-    }
-
-    #[test]
-    fn shutdown_releases_a_producer_blocked_on_a_back_pressured_egress() {
-        // Regression: `shutdown` used to stop the pump *without* closing
-        // the owned pipe (unlike `Drop`), so a producer blocked on a full
-        // pipe after the pump exited would block forever.
-        let sink = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let config = UdpConfig::default().with_capacity(2);
-        let mut egress = UdpEgress::connect(sink.local_addr().unwrap(), &config).unwrap();
-        let stats = egress.stats();
-        let sender = egress.sender();
-        let producer = std::thread::spawn(move || {
-            // Send until the closed pipe errors out.  Once shutdown stops
-            // the pump, the capacity-2 pipe fills and `send` blocks — only
-            // the shutdown-path close can release it.
-            let mut seq = 0;
-            while sender.send(packet(seq)).is_ok() {
-                seq += 1;
-            }
-        });
-        // Let the path move at least one frame so the pump is provably up.
-        let deadline = std::time::Instant::now() + Duration::from_secs(20);
-        while stats.tx_packets() == 0 {
-            assert!(std::time::Instant::now() < deadline, "egress never sent");
-            std::thread::yield_now();
-        }
-        egress.shutdown();
-        join_within(producer, "the back-pressured producer");
     }
 
     #[test]
     fn shutdown_releases_a_consumer_blocked_on_an_owned_ingress() {
-        // The mirror regression on the receive side: stopping the pump
-        // without closing the owned pipe left a blocked `recv` waiting for
-        // a packet that could never arrive.
+        // Regression: stopping the pump without closing the pipe left a
+        // blocked `recv` waiting for a packet that could never arrive.
         let config = UdpConfig::default();
         let mut ingress = UdpIngress::bind("127.0.0.1:0", &config).unwrap();
         let rx = ingress.receiver();
@@ -840,6 +399,14 @@ mod tests {
             let _ = rx.recv();
         });
         ingress.shutdown();
-        join_within(consumer, "the blocked consumer");
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            let _ = consumer.join();
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the blocked consumer is still blocked after teardown");
+        let _ = waiter.join();
     }
 }

@@ -14,6 +14,10 @@
 //! Control frames (quiescence markers, FIN) always pass, and a FIN flushes
 //! any held frames first, so an impaired stream still ends cleanly and
 //! closed-loop scenario runs stay deterministic.
+//!
+//! Every counter moves **before** the `send_to` of the frame it counts
+//! (received ⇒ counted, as everywhere in this crate): a receiver that has
+//! seen a frame — a FIN included — always finds it in the relay's stats.
 
 use std::fmt;
 use std::io;
@@ -250,7 +254,9 @@ impl ImpairedUdp {
     ///
     /// Returns the socket `bind`/configuration error, if any.
     pub fn spawn(peer: impl ToSocketAddrs, plan: ImpairmentPlan) -> io::Result<Self> {
-        let peer = crate::resolve_peer(peer)?;
+        let peer = peer.to_socket_addrs()?.next().ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidInput, "peer resolved to nothing")
+        })?;
         let socket = UdpSocket::bind("127.0.0.1:0")?;
         socket.set_read_timeout(Some(Duration::from_millis(20)))?;
         let local_addr = socket.local_addr()?;
@@ -354,11 +360,11 @@ fn pump_impaired(
             // anything held so nothing is reordered across the delimiter
             // (or lost at end of stream), then pass the control frame.
             for (_, late) in held.drain(..) {
-                let _ = socket.send_to(&late, peer);
                 stats.inner.forwarded.fetch_add(1, Ordering::Relaxed);
+                let _ = socket.send_to(&late, peer);
             }
-            let _ = socket.send_to(frame, peer);
             stats.inner.control.fetch_add(1, Ordering::Relaxed);
+            let _ = socket.send_to(frame, peer);
             continue;
         }
 
@@ -370,8 +376,8 @@ fn pump_impaired(
                 .partition(|(release_before, _)| *release_before <= data_index);
             held = kept;
             for (_, late) in due {
-                let _ = socket.send_to(&late, peer);
                 stats.inner.forwarded.fetch_add(1, Ordering::Relaxed);
+                let _ = socket.send_to(&late, peer);
             }
         }
 
@@ -391,13 +397,13 @@ fn pump_impaired(
             stats.inner.delayed.fetch_add(1, Ordering::Relaxed);
             continue;
         }
-        let _ = socket.send_to(frame, peer);
         stats.inner.forwarded.fetch_add(1, Ordering::Relaxed);
+        let _ = socket.send_to(frame, peer);
     }
     // Relay going away: release anything still held rather than losing it.
     for (_, late) in held.drain(..) {
-        let _ = socket.send_to(&late, peer);
         stats.inner.forwarded.fetch_add(1, Ordering::Relaxed);
+        let _ = socket.send_to(&late, peer);
     }
 }
 

@@ -1,61 +1,47 @@
-//! # rapidware-transport — real UDP ingress/egress behind the proxy
+//! # rapidware-transport — real UDP endpoints behind the proxy
 //!
 //! Every other crate in this workspace moves packets over in-process
 //! detachable pipes or the simulated `netsim` medium.  This crate is where
 //! bytes first cross a socket: it carries the existing wire format
 //! ([`Packet::encode_into`] / [`Packet::decode`], one packet per datagram)
-//! over nonblocking [`std::net::UdpSocket`]s, behind endpoints that expose
-//! the *same surface* as a [`DetachableSender`] / [`DetachableReceiver`]
-//! pair — `send` / `send_batch` / `try_send_batch` on the way out, `recv` /
-//! `recv_up_to` / `try_recv_up_to` plus [`PipeWatcher`]-style readiness on
-//! the way in — so filter chains, fanout lanes, and pooled-runtime tasks
-//! run unmodified whether their peer is a pipe or a socket.
+//! over [`std::net::UdpSocket`]s.
 //!
-//! * [`UdpIngress`] — binds a socket; a pump thread decodes each datagram
-//!   and delivers it into a detachable pipe (its own, or one supplied by
-//!   the proxy so the packets land directly on a chain input).
-//! * [`UdpEgress`] — a pump thread drains a detachable pipe (its own, or a
-//!   chain output supplied by the proxy), frames each packet with
-//!   [`Packet::encode_into`], and sends one datagram per packet to a peer.
+//! * [`SharedUdpIngress`] / [`SharedUdpEgress`] — the proxy's socket
+//!   model: one bound socket carrying N logical streams, demultiplexed by
+//!   the stream id in every [`Packet`] header.  They have no threads of
+//!   their own; a readiness reactor (the pooled runtime's) wakes pool
+//!   tasks that call [`drain_batch`] / [`flush_batch`] directly, so
+//!   hundreds of sessions share a handful of sockets.
+//! * [`UdpIngress`] — the blocking application-side receiver: a pump
+//!   thread decodes each datagram into the endpoint's own detachable pipe,
+//!   so a test or an application reads a socket through the same `recv` /
+//!   `recv_up_to` / `try_recv_up_to` / [`PipeWatcher`] surface a local
+//!   pipe offers.
 //! * [`ImpairedUdp`] — a loopback relay applying a **seeded, deterministic**
 //!   drop/delay schedule to the datagrams passing through it, mirroring
 //!   `netsim`'s `ScheduledLoss` so scenario runs over real sockets stay
 //!   reproducible.
-//! * [`SharedUdpIngress`] / [`SharedUdpEgress`] — **shared-socket**
-//!   endpoints: one bound socket carrying N logical streams, demultiplexed
-//!   by the stream id in every [`Packet`] header.
-//!   They have no pump threads at all; a readiness reactor (the pooled
-//!   runtime's) wakes pool tasks that call [`drain_batch`] /
-//!   [`flush_batch`] directly, so hundreds of sessions share a handful of
-//!   sockets with zero per-socket threads.  The pump-per-socket endpoints
-//!   above remain for single-stream edges (and as the app-side harness in
-//!   tests), but are deprecated in spirit for multi-session use.
 //!
 //! ## End of stream
 //!
 //! UDP has no connection teardown, so the transport defines one: when an
-//! egress pump's upstream ends (the pipe reports EOF), it sends a final
-//! **FIN frame** — a [`PacketKind::Control`] packet on the reserved
-//! [`FIN_STREAM`] — and an ingress that receives a FIN closes its pipe, so
-//! the consumer observes the same clean end-of-stream a local pipe would
-//! deliver.  [`FIN_STREAM`] is reserved for the transport; application
-//! traffic must not use it.
-//!
-//! Shared sockets need a finer-grained form: ending one stream must not
-//! end its socket-mates.  A **per-stream FIN** ([`stream_fin_packet`]) is a
-//! control frame on the ending stream's *own* id at the reserved sequence
-//! number [`STREAM_FIN_SEQ`]; a shared ingress closes only that stream's
-//! route, while a dedicated [`UdpIngress`] (which carries exactly one
-//! logical stream) treats it like the transport-wide FIN.
+//! egress lane's upstream pipe reports EOF, it sends a final **per-stream
+//! FIN** ([`stream_fin_packet`]) — a [`PacketKind::Control`] frame on the
+//! ending stream's *own* id at the reserved sequence number
+//! [`STREAM_FIN_SEQ`].  A shared ingress closes only that stream's route,
+//! so ending one stream never ends its socket-mates; a [`UdpIngress`]
+//! (which carries exactly one logical stream) closes its pipe.  Either
+//! way the consumer observes the same clean end of stream a local pipe
+//! would deliver.
 //!
 //! [`drain_batch`]: SharedUdpIngress::drain_batch
 //! [`flush_batch`]: SharedUdpEgress::flush_batch
 //!
 //! ## Delivery accounting
 //!
-//! Both endpoints keep [`TransportStats`]: datagrams and packets in and
-//! out, decode errors, and drops.  The ingress counts a packet **before**
-//! handing it to the pipe, upholding the same received ⇒ counted invariant
+//! Every endpoint keeps [`TransportStats`]: datagrams and packets in and
+//! out, decode errors, and drops.  An ingress counts a packet **before**
+//! handing it to a pipe, upholding the same received ⇒ counted invariant
 //! the in-process pipes provide — by the time a consumer holds a packet,
 //! the endpoint's counters already include it.
 //!
@@ -63,27 +49,30 @@
 //!
 //! ```
 //! use rapidware_packet::{Packet, PacketKind, SeqNo, StreamId};
-//! use rapidware_transport::{UdpConfig, UdpEgress, UdpIngress};
+//! use rapidware_streams::pipe;
+//! use rapidware_transport::{SharedUdpEgress, UdpConfig, UdpIngress};
 //!
 //! # fn main() -> std::io::Result<()> {
 //! let config = UdpConfig::default();
 //! let ingress = UdpIngress::bind("127.0.0.1:0", &config)?;
-//! let egress = UdpEgress::connect(ingress.local_addr(), &config)?;
+//! let egress = SharedUdpEgress::bind("127.0.0.1:0", &config)?;
+//! let (lane, source) = pipe(16);
+//! egress.attach(StreamId::new(1), ingress.local_addr(), source);
 //!
 //! let packet = Packet::new(StreamId::new(1), SeqNo::new(0), PacketKind::AudioData, vec![1, 2, 3]);
-//! egress.send(packet.clone()).expect("egress pipe is open");
+//! lane.send(packet.clone()).expect("lane pipe is open");
+//! lane.close(); // the lane's FIN follows its last packet
+//! while egress.lane_count() > 0 {
+//!     egress.flush_batch(); // normally the runtime's reactor drives this
+//! }
 //! assert_eq!(ingress.recv().expect("delivered over loopback"), packet);
-//!
-//! egress.close(); // sends the FIN frame
-//! assert!(ingress.recv().is_err(), "FIN closes the stream");
+//! assert!(ingress.recv().is_err(), "the FIN closes the stream");
 //! # Ok(())
 //! # }
 //! ```
 //!
 //! [`Packet::encode_into`]: rapidware_packet::Packet::encode_into
 //! [`Packet::decode`]: rapidware_packet::Packet::decode
-//! [`DetachableSender`]: rapidware_streams::DetachableSender
-//! [`DetachableReceiver`]: rapidware_streams::DetachableReceiver
 //! [`PipeWatcher`]: rapidware_streams::PipeWatcher
 //! [`PacketKind::Control`]: rapidware_packet::PacketKind::Control
 
@@ -96,7 +85,7 @@ mod impaired;
 mod shared;
 mod stats;
 
-pub use endpoint::{UdpConfig, UdpEgress, UdpIngress};
+pub use endpoint::{UdpConfig, UdpIngress};
 pub use impaired::{
     ImpairedSnapshot, ImpairedStats, ImpairedUdp, ImpairmentPhase, ImpairmentPlan,
 };
@@ -112,37 +101,16 @@ use rapidware_packet::{Packet, PacketKind, SeqNo, StreamId};
 /// the frame CRC.
 pub const MAX_DATAGRAM_LEN: usize = 65_507;
 
-/// Stream id reserved for the transport's FIN frames.
-///
-/// Chosen next to the scenario engine's quiescence-marker stream
-/// (`u32::MAX`) so both live outside any plausible media stream id space.
-pub const FIN_STREAM: u32 = u32::MAX - 1;
-
-/// Builds the FIN frame an egress sends when its upstream ends.
-pub fn fin_packet() -> Packet {
-    Packet::new(
-        StreamId::new(FIN_STREAM),
-        SeqNo::new(0),
-        PacketKind::Control,
-        Vec::new(),
-    )
-}
-
-/// Returns `true` if `packet` is a transport FIN frame.
-pub fn is_fin(packet: &Packet) -> bool {
-    packet.kind() == PacketKind::Control && packet.stream().value() == FIN_STREAM
-}
-
 /// Sequence number reserved for **per-stream** FIN frames.
 ///
-/// A shared socket carries many logical streams, so the transport-wide
-/// [`FIN_STREAM`] frame cannot say *which* of them ended.  A per-stream FIN
-/// instead rides the ending stream's own id, marked by this reserved
-/// sequence number on a [`PacketKind::Control`] frame.  Application
-/// control traffic must not use `u64::MAX` as a sequence number.
+/// A shared socket carries many logical streams, so a FIN must say *which*
+/// of them ended: it rides the ending stream's own id, marked by this
+/// reserved sequence number on a [`PacketKind::Control`] frame.
+/// Application control traffic must not use `u64::MAX` as a sequence
+/// number.
 pub const STREAM_FIN_SEQ: u64 = u64::MAX;
 
-/// Builds the FIN frame a shared egress sends when one stream's upstream
+/// Builds the FIN frame an egress lane sends when its stream's upstream
 /// ends: a control frame on the stream's own id at [`STREAM_FIN_SEQ`].
 pub fn stream_fin_packet(stream: StreamId) -> Packet {
     Packet::new(
@@ -165,16 +133,6 @@ pub(crate) fn fits_in_datagram(packet: &Packet) -> bool {
     packet.wire_len() <= MAX_DATAGRAM_LEN
 }
 
-/// Resolves a peer argument to its first socket address (shared by the
-/// egress and the impairment relay so the two cannot drift).
-pub(crate) fn resolve_peer(
-    peer: impl std::net::ToSocketAddrs,
-) -> std::io::Result<std::net::SocketAddr> {
-    peer.to_socket_addrs()?.next().ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidInput, "peer resolved to nothing")
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,14 +140,14 @@ mod tests {
 
     #[test]
     fn fin_frames_are_recognised_and_fit_in_a_datagram() {
-        let fin = fin_packet();
-        assert!(is_fin(&fin));
+        let fin = stream_fin_packet(StreamId::new(1));
+        assert!(is_stream_fin(&fin));
         assert!(fits_in_datagram(&fin));
         let data = Packet::new(StreamId::new(1), SeqNo::new(0), PacketKind::Data, vec![1]);
-        assert!(!is_fin(&data));
-        // A control packet on another stream is not a FIN.
+        assert!(!is_stream_fin(&data));
+        // A control packet at an ordinary sequence number is not a FIN.
         let marker = Packet::new(StreamId::new(u32::MAX), SeqNo::new(0), PacketKind::Control, vec![]);
-        assert!(!is_fin(&marker));
+        assert!(!is_stream_fin(&marker));
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! Shared-socket UDP endpoints: one bound socket carrying N streams.
 //!
-//! [`UdpIngress`](crate::UdpIngress) / [`UdpEgress`](crate::UdpEgress)
-//! spend two pump threads per socket, which at hundreds of sessions is the
-//! thread-per-filter anti-pattern all over again.  The shared endpoints
-//! here spend **zero** threads: they only expose non-blocking batch
-//! operations — [`SharedUdpIngress::drain_batch`] and
+//! A pump thread per socket would be the thread-per-filter anti-pattern
+//! all over again at hundreds of sessions.  The shared endpoints here
+//! spend **zero** threads: they only expose non-blocking batch operations — [`SharedUdpIngress::drain_batch`] and
 //! [`SharedUdpEgress::flush_batch`] — and rely on a readiness loop (the
 //! pooled runtime's reactor) to call them when the socket is readable or
 //! a pipe has data:
@@ -310,8 +308,7 @@ struct EgressLane {
 /// When a lane's pipe reports EOF the lane sends a per-stream FIN
 /// ([`stream_fin_packet`](crate::stream_fin_packet)) so the remote end
 /// can close exactly that stream; a pipe closed without EOF finishes the
-/// lane silently (abort semantics, matching
-/// [`UdpEgress`](crate::UdpEgress)).
+/// lane silently (abort semantics: no clean end of stream, so no FIN).
 pub struct SharedUdpEgress {
     socket: Arc<UdpSocket>,
     local_addr: SocketAddr,
@@ -710,6 +707,65 @@ mod tests {
         assert_eq!(egress.stats().tx_packets(), 1, "no FIN after an abort");
         drop(tx);
         let _ = route;
+    }
+
+    #[test]
+    fn truncated_and_corrupt_datagrams_are_decode_errors_that_reach_no_route() {
+        let ingress = SharedUdpIngress::bind("127.0.0.1:0", &UdpConfig::default()).unwrap();
+        let route = ingress.open_stream(StreamId::new(1)).unwrap();
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let valid = packet(1, 5).encode();
+        tx.send_to(&valid[..20], ingress.local_addr()).unwrap();
+        let mut corrupted = valid.to_vec();
+        corrupted[25] ^= 0xFF;
+        tx.send_to(&corrupted, ingress.local_addr()).unwrap();
+        tx.send_to(&valid, ingress.local_addr()).unwrap();
+        drain_until(&ingress, || ingress.stats.rx_datagrams() == 3);
+        assert_eq!(ingress.stats().decode_errors(), 2);
+        assert_eq!(ingress.stats().rx_packets(), 1);
+        assert_eq!(ingress.stats().dropped(), 0, "a decode error is not a route drop");
+        assert_eq!(ingress.unknown_streams(), 0, "an undecodable frame has no stream id");
+        // Only the intact frame reached the route.
+        assert_eq!(route.try_recv().unwrap().seq().value(), 5);
+        assert_eq!(route.try_recv().unwrap_err(), TryRecvError::Empty);
+    }
+
+    #[test]
+    fn an_oversized_packet_is_dropped_and_counted_while_socket_mates_keep_flowing() {
+        let config = UdpConfig::default();
+        let peer = SharedUdpIngress::bind("127.0.0.1:0", &config).unwrap();
+        let route_big = peer.open_stream(StreamId::new(1)).unwrap();
+        let route_mate = peer.open_stream(StreamId::new(2)).unwrap();
+        let egress = SharedUdpEgress::bind("127.0.0.1:0", &config).unwrap();
+        let (tx_big, rx_big) = pipe::<Packet>(16);
+        let (tx_mate, rx_mate) = pipe::<Packet>(16);
+        egress.attach(StreamId::new(1), peer.local_addr(), rx_big);
+        egress.attach(StreamId::new(2), peer.local_addr(), rx_mate);
+        let oversized = Packet::new(
+            StreamId::new(1),
+            SeqNo::new(0),
+            PacketKind::Data,
+            vec![0u8; MAX_DATAGRAM_LEN],
+        );
+        tx_big.send(oversized).unwrap();
+        tx_big.send(packet(1, 1)).unwrap();
+        for seq in 0..4 {
+            tx_mate.send(packet(2, seq)).unwrap();
+        }
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while egress.stats().tx_packets() + egress.stats().dropped() < 6 {
+            assert!(Instant::now() < deadline, "egress made no progress");
+            egress.flush_batch();
+        }
+        assert_eq!(egress.stats().dropped(), 1, "the oversized frame is counted");
+        assert_eq!(egress.stats().tx_packets(), 5);
+        drain_until(&peer, || peer.stats().rx_packets() == 5);
+        // The lane that carried the oversized frame keeps flowing too.
+        assert_eq!(route_big.try_recv().unwrap().seq().value(), 1);
+        for seq in 0..4 {
+            assert_eq!(route_mate.try_recv().unwrap().seq().value(), seq);
+        }
+        assert_eq!(egress.lane_count(), 2, "dropping a frame finishes no lane");
     }
 
     #[test]

@@ -10,9 +10,7 @@ use std::time::{Duration, Instant};
 
 use rapidware_packet::{Packet, PacketKind, SeqNo, StreamId};
 use rapidware_streams::{pipe, DetachableReceiver, TryRecvError};
-use rapidware_transport::{
-    ImpairmentPlan, UdpConfig, UdpEgress, UdpIngress,
-};
+use rapidware_transport::{stream_fin_packet, ImpairmentPlan, UdpConfig, UdpIngress};
 
 const WATCHDOG: Duration = Duration::from_secs(60);
 
@@ -20,10 +18,25 @@ fn packet(seq: u64) -> Packet {
     Packet::new(StreamId::new(3), SeqNo::new(seq), PacketKind::AudioData, vec![(seq % 251) as u8; 64])
 }
 
+/// The sending side of every socket test: encodes each packet of `seqs`
+/// into one datagram towards `peer`.
+fn send_range(socket: &UdpSocket, peer: std::net::SocketAddr, seqs: std::ops::Range<u64>) {
+    for seq in seqs {
+        socket.send_to(&packet(seq).encode(), peer).expect("loopback send");
+    }
+}
+
+/// Ends the stream the way an egress lane does: one per-stream FIN.
+fn send_fin(socket: &UdpSocket, peer: std::net::SocketAddr) {
+    socket
+        .send_to(&stream_fin_packet(StreamId::new(3)).encode(), peer)
+        .expect("loopback send");
+}
+
 /// The received ⇒ counted regression, shared across **both endpoint
 /// kinds**: at every point where the consumer holds `n` packets, the
-/// endpoint's own counter must already be at least `n`.  PR 3 established
-/// this for the in-process pipes; the socket endpoints must uphold the
+/// endpoint's own counter must already be at least `n`.  The in-process
+/// pipes established this; the socket endpoints must uphold the
 /// identical discipline or loss-rate observers comparing "sent" with
 /// "counted at the receiver" would transiently over-report loss.
 ///
@@ -81,13 +94,11 @@ fn received_implies_counted_on_socket_endpoints() {
     // loopback socket buffer and the OS — not the endpoint — would drop.
     let config = UdpConfig::default().with_capacity(8);
     let ingress = UdpIngress::bind("127.0.0.1:0", &config).unwrap();
-    let egress = UdpEgress::connect(ingress.local_addr(), &config).unwrap();
+    let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
     let stats = ingress.stats();
     let mut received = 0u64;
     for window in 0..40u64 {
-        egress
-            .send_batch((window * 50..(window + 1) * 50).map(packet).collect())
-            .unwrap();
+        send_range(&tx, ingress.local_addr(), window * 50..(window + 1) * 50);
         assert_received_implies_counted(&mut received, (window + 1) * 50, || stats.rx_packets(), || {
             ingress.try_recv_up_to(16)
         });
@@ -113,9 +124,9 @@ fn the_socket_surface_is_interchangeable_with_a_pipe_receiver() {
     }
     let config = UdpConfig::default();
     let ingress = UdpIngress::bind("127.0.0.1:0", &config).unwrap();
-    let egress = UdpEgress::connect(ingress.local_addr(), &config).unwrap();
-    egress.send_batch((0..10).map(packet).collect()).unwrap();
-    egress.close();
+    let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+    send_range(&tx, ingress.local_addr(), 0..10);
+    send_fin(&tx, ingress.local_addr());
     let handle = ingress.receiver();
     assert_eq!(drain_to_eof(&handle), (0..10).collect::<Vec<_>>());
 }
@@ -132,7 +143,7 @@ fn impaired_relay_is_deterministic_per_seed() {
             ImpairmentPlan::bernoulli(seed, 0.2),
         )
         .unwrap();
-        let egress = UdpEgress::connect(relay.local_addr(), &config).unwrap();
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
         let relay_stats = relay.stats();
         let ingress_stats = ingress.stats();
         // Drain concurrently so the survivors never pile up in a socket
@@ -151,9 +162,7 @@ fn impaired_relay_is_deterministic_per_seed() {
             }
         });
         for window in 0..10u64 {
-            egress
-                .send_batch((window * 50..(window + 1) * 50).map(packet).collect())
-                .unwrap();
+            send_range(&tx, relay.local_addr(), window * 50..(window + 1) * 50);
             // Pace each window end to end: every frame accounted by the
             // relay (forwarded or dropped), every survivor received by the
             // ingress, before the next burst — so neither socket's kernel
@@ -172,7 +181,7 @@ fn impaired_relay_is_deterministic_per_seed() {
                 std::thread::yield_now();
             }
         }
-        egress.close();
+        send_fin(&tx, relay.local_addr());
         let seqs = consumer.join().unwrap();
         (seqs, relay.stats().dropped())
     }
@@ -197,9 +206,9 @@ fn impaired_delay_reorders_deterministically_without_loss() {
         ImpairmentPlan::new(7, vec![(0, rapidware_transport::ImpairmentPhase::delay(4, 3))]),
     )
     .unwrap();
-    let egress = UdpEgress::connect(relay.local_addr(), &config).unwrap();
-    egress.send_batch((0..40).map(packet).collect()).unwrap();
-    egress.close();
+    let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+    send_range(&tx, relay.local_addr(), 0..40);
+    send_fin(&tx, relay.local_addr());
     let mut seqs = Vec::new();
     let deadline = Instant::now() + WATCHDOG;
     loop {

@@ -1,7 +1,7 @@
 //! One session, heterogeneous receivers: a lossy WLAN lane gains FEC while
 //! its wired siblings carry the raw stream untouched.
 //!
-//! This is the repository's flagship workload.  A fanout `Session` owns one
+//! This is the repository's flagship workload.  A fanout session owns one
 //! upstream source and a shared head chain; each receiver gets its own
 //! *lane* — a private tail chain plus its own adaptation loop.  The head
 //! stage's work is done once no matter how many receivers are attached
@@ -12,12 +12,13 @@
 
 use rapidware::engine::{FanoutEngine, FanoutSpec};
 use rapidware::packet::{Packet, PacketKind, SeqNo, StreamId};
-use rapidware::proxy::Session;
+use rapidware::runtime::{Runtime, RuntimeConfig};
 
 fn main() {
-    // Part 1 — the mechanics, on a live threaded session: zero-copy fanout
-    // and per-lane filters.
-    let session = Session::new("demo").expect("sessions are constructible");
+    // Part 1 — the mechanics, on a live session hosted by a small worker
+    // pool: zero-copy fanout to every lane.
+    let runtime = Runtime::start(RuntimeConfig::new(2, 8));
+    let session = runtime.add_session("demo");
     let wired = session.add_lane("wired").expect("unique lane names");
     let wlan = session.add_lane("wlan").expect("unique lane names");
     let input = session.input();
@@ -31,6 +32,7 @@ fn main() {
         at_wired.shares_payload_with(&at_wlan)
     );
     session.shutdown().expect("clean shutdown");
+    runtime.shutdown().expect("clean pool shutdown");
 
     // Part 2 — the closed loop, end to end: one lossy WLAN receiver among
     // three wired peers, each lane running its own observer/responder

@@ -1,15 +1,15 @@
 //! A composable proxy on real UDP sockets.
 //!
 //! The smallest end-to-end wire setup: a sender application encodes
-//! packets into datagrams and sends them to a proxy whose stream endpoints
-//! are UDP sockets; the proxy runs them through a live-reconfigurable
+//! packets into datagrams and sends them to a proxy's shared-socket
+//! carrier; the proxy runs them through a live-reconfigurable pooled
 //! filter chain (FEC protection is spliced in mid-stream, exactly as the
 //! paper's control thread would) and forwards the output — over a
 //! deterministic lossy relay — to a receiver application that repairs the
 //! losses with the matching decoder.
 //!
 //! ```text
-//!  sender app ──UDP──▶ proxy [fec-encoder] ──UDP──▶ ImpairedUdp ──UDP──▶ receiver app [fec-decoder]
+//!  sender app ──UDP──▶ carrier ─▶ [fec-encoder] ─▶ carrier ──UDP──▶ ImpairedUdp ──UDP──▶ receiver app [fec-decoder]
 //! ```
 //!
 //! Run with `cargo run --example udp_proxy`.
@@ -31,11 +31,19 @@ fn main() {
     let relay = ImpairedUdp::spawn(receiver.local_addr(), ImpairmentPlan::drop_every(2001, 5))
         .expect("spawning the impairment relay");
 
-    // The proxy: one UDP-backed stream towards the lossy hop.
-    let mut proxy = Proxy::new("edge-proxy");
+    // The proxy: a worker pool, one carrier socket, and one stream riding
+    // it towards the lossy hop.
+    let mut proxy = Proxy::with_runtime("edge-proxy", RuntimeConfig::new(2, 8));
+    proxy
+        .add_udp_carrier("wire", UdpCarrierConfig::new())
+        .expect("binding the carrier socket");
     let handle = proxy
-        .add_stream_udp("audio", UdpStreamConfig::to_peer(relay.local_addr()))
-        .expect("binding the proxy's stream endpoints");
+        .add_stream_udp_shared(
+            "audio",
+            SharedUdpStreamConfig::on_carrier("wire", relay.local_addr())
+                .with_stream(StreamId::new(1)),
+        )
+        .expect("placing the stream on the carrier");
 
     // Protect the stream: splice FEC(6,4) into the live chain.
     proxy
@@ -75,7 +83,7 @@ fn main() {
     println!("receiver delivered : {delivered} raw, {recovered} after FEC repair");
     let status = proxy.status();
     println!(
-        "proxy endpoint     : rx={} tx={} decode-errors={}",
+        "proxy carrier      : rx={} tx={} decode-errors={}",
         status.transports[0].ingress.rx_packets,
         status.transports[0].egress.tx_packets,
         status.transports[0].ingress.decode_errors,

@@ -36,7 +36,7 @@ use rapidware::proxy::{FilterSpec, Proxy, SharedUdpStreamConfig, UdpCarrierConfi
 use rapidware::runtime::{Runtime, RuntimeConfig};
 use rapidware::streams::TryRecvError;
 use rapidware::transport::{
-    fin_packet, ImpairedStats, ImpairedUdp, ImpairmentPhase, ImpairmentPlan, SharedDrain,
+    stream_fin_packet, ImpairedStats, ImpairedUdp, ImpairmentPhase, ImpairmentPlan, SharedDrain,
     SharedUdpIngress, UdpConfig, UdpIngress,
 };
 
@@ -233,7 +233,7 @@ fn a_mid_run_socket_blackout_is_counted_never_silent() {
             send_encoded(&tx, relay.local_addr(), &audio_packet(seq, 64));
         }
         await_relay_accounted(&stats, BEFORE + DURING + AFTER);
-        send_encoded(&tx, relay.local_addr(), &fin_packet());
+        send_encoded(&tx, relay.local_addr(), &stream_fin_packet(StreamId::new(1)));
 
         // received ⇒ counted: everything the relay forwarded reaches the
         // application, everything else is in `dropped`, and the two sides
@@ -436,16 +436,16 @@ fn a_blackout_on_a_shared_carrier_is_counted_and_poisons_no_stream() {
         // The carrier was blameless: it demuxed every forwarded datagram to
         // a registered stream and dropped nothing itself.
         let status = proxy.status();
-        let shared: Vec<_> = status.transports.iter().filter(|t| t.shared).collect();
-        assert_eq!(shared.len(), 1, "one carrier serves all four streams");
+        let carriers: Vec<_> = status.transports.iter().collect();
+        assert_eq!(carriers.len(), 1, "one carrier serves all four streams");
         assert_eq!(
-            shared[0].ingress.rx_packets,
+            carriers[0].ingress.rx_packets,
             STREAMS as u64 * (BEFORE + AFTER),
             "every forwarded datagram was demuxed"
         );
-        assert_eq!(shared[0].unknown_streams, 0);
-        assert_eq!(shared[0].ingress.dropped, 0);
-        assert_eq!(shared[0].egress.dropped, 0);
+        assert_eq!(carriers[0].unknown_streams, 0);
+        assert_eq!(carriers[0].ingress.dropped, 0);
+        assert_eq!(carriers[0].egress.dropped, 0);
         assert_eq!(app.unknown_streams(), 0, "no frame escaped its route app-side");
         proxy.shutdown().expect("clean proxy shutdown");
     });
@@ -495,8 +495,8 @@ fn reordered_and_duplicated_markers_conserve_every_data_frame() {
         await_relay_accounted(&stats, TOTAL);
         // A duplicated FIN: the first ends the stream, the second must be
         // absorbed without wedging or reopening anything.
-        send_encoded(&tx, relay.local_addr(), &fin_packet());
-        send_encoded(&tx, relay.local_addr(), &fin_packet());
+        send_encoded(&tx, relay.local_addr(), &stream_fin_packet(StreamId::new(1)));
+        send_encoded(&tx, relay.local_addr(), &stream_fin_packet(StreamId::new(1)));
 
         let mut data = Vec::new();
         let mut markers_received = 0u64;
@@ -844,16 +844,16 @@ fn a_blackout_straddling_a_rekey_on_a_shared_carrier_conserves_per_stream() {
         // a registered stream, nothing dropped carrier-side.
         assert_eq!(status.secure.rejected, u64::from(STREAMS));
         assert_eq!(status.secure.rekeys, u64::from(STREAMS));
-        let shared: Vec<_> = status.transports.iter().filter(|t| t.shared).collect();
-        assert_eq!(shared.len(), 1, "one carrier serves both streams");
+        let carriers: Vec<_> = status.transports.iter().collect();
+        assert_eq!(carriers.len(), 1, "one carrier serves both streams");
         assert_eq!(
-            shared[0].ingress.rx_packets,
+            carriers[0].ingress.rx_packets,
             u64::from(STREAMS) * (BEFORE + AFTER + 2),
             "every forwarded datagram was demuxed"
         );
-        assert_eq!(shared[0].unknown_streams, 0);
-        assert_eq!(shared[0].ingress.dropped, 0);
-        assert_eq!(shared[0].egress.dropped, 0);
+        assert_eq!(carriers[0].unknown_streams, 0);
+        assert_eq!(carriers[0].ingress.dropped, 0);
+        assert_eq!(carriers[0].egress.dropped, 0);
         assert_eq!(app.unknown_streams(), 0, "no frame escaped its route app-side");
         proxy.shutdown().expect("clean proxy shutdown");
     });

@@ -24,6 +24,7 @@ use std::time::{Duration, Instant};
 
 use rapidware::packet::{Packet, PacketKind, SeqNo, StreamId};
 use rapidware::streams::{DetachableReceiver, TryRecvError};
+use rapidware::transport::TransportStats;
 
 /// Default wall-clock bound for a whole suite body.
 pub const WATCHDOG: Duration = Duration::from_secs(120);
@@ -44,6 +45,53 @@ pub fn send_encoded(socket: &UdpSocket, peer: SocketAddr, packet: &Packet) {
     let mut scratch = Vec::new();
     packet.encode_into(&mut scratch);
     socket.send_to(&scratch, peer).expect("loopback send never fails");
+}
+
+/// Sends `packets` to `peer`, one datagram each, in windows of `window`:
+/// after every window it waits (under `deadline`) until the `ingress`
+/// counter of received datagrams has grown by `expected(sent)`, where
+/// `sent` counts the packets sent so far.  UDP has no end-to-end
+/// back-pressure, so an unpaced burst can overflow a kernel socket buffer
+/// anywhere on the path and the OS — not the proxy — would drop
+/// datagrams; the receiver's accounting is the only flow control there is.
+///
+/// Pace against the *last* socket on the path (the app-side receiver)
+/// so every hop in between drains within one window.  `expected` maps
+/// packets sent to datagrams that receiver must have seen: `|sent| sent`
+/// for a 1:1 path, or the exact ratio a filter or lossy hop imposes
+/// (valid at every window boundary).
+pub fn send_paced(
+    socket: &UdpSocket,
+    peer: SocketAddr,
+    packets: impl IntoIterator<Item = Packet>,
+    window: usize,
+    ingress: &TransportStats,
+    expected: impl Fn(u64) -> u64,
+    deadline: Instant,
+) {
+    let base = ingress.rx_datagrams();
+    let mut packets = packets.into_iter();
+    let mut sent = 0u64;
+    loop {
+        let before = sent;
+        for packet in packets.by_ref().take(window) {
+            send_encoded(socket, peer, &packet);
+            sent += 1;
+        }
+        if sent == before {
+            return;
+        }
+        let target = base + expected(sent);
+        while ingress.rx_datagrams() < target {
+            assert!(
+                Instant::now() < deadline,
+                "paced stream stalled: receiver at {}/{} datagrams after {sent} sent",
+                ingress.rx_datagrams() - base,
+                target - base
+            );
+            std::thread::yield_now();
+        }
+    }
 }
 
 /// Runs `body` on a supervised thread and fails the test if it has not

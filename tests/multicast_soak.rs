@@ -33,7 +33,8 @@ use std::time::Duration;
 
 use rapidware::runtime::{Runtime, RuntimeConfig};
 use rapidware::streams::TryRecvError;
-use rapidware::transport::{fin_packet, UdpConfig, UdpIngress};
+use rapidware::packet::StreamId;
+use rapidware::transport::{stream_fin_packet, UdpConfig, UdpIngress};
 
 use common::{assert_conservation, audio_packet, send_encoded, watchdog};
 
@@ -96,7 +97,7 @@ fn a_thousand_leaf_multicast_tree_delivers_everything_over_udp_bridges() {
                     relayed += 1;
                 }
                 // Lane EOF: tell the far ingress the stream is over.
-                send_encoded(&socket, peer, &fin_packet());
+                send_encoded(&socket, peer, &stream_fin_packet(StreamId::new(1)));
                 relayed
             }));
         }

@@ -322,11 +322,10 @@ fn run_soak() {
     // The carriers saw exactly the soak's traffic: all datagrams routed,
     // none to unknown streams, none dropped.
     let status = proxy.status();
-    let shared: Vec<_> = status.transports.iter().filter(|t| t.shared).collect();
-    assert_eq!(shared.len(), CARRIERS);
-    let rx_packets: u64 = shared.iter().map(|t| t.ingress.rx_packets).sum();
+    assert_eq!(status.transports.len(), CARRIERS);
+    let rx_packets: u64 = status.transports.iter().map(|t| t.ingress.rx_packets).sum();
     assert_eq!(rx_packets, total * session_count as u64, "every datagram demuxed to a session");
-    for transport in &shared {
+    for transport in &status.transports {
         assert_eq!(transport.unknown_streams, 0, "{}: unknown-stream drops", transport.name);
         assert_eq!(transport.ingress.dropped, 0, "{}: ingress dropped frames", transport.name);
         assert_eq!(transport.egress.dropped, 0, "{}: egress dropped frames", transport.name);

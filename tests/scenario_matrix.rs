@@ -12,7 +12,7 @@
 //!   after recovery, converging back to an empty chain,
 //! * the same spec and seed produce a byte-identical trace on every run,
 //! * the sync, threaded, and pooled (sharded worker-pool) appliers agree
-//!   byte for byte, and
+//!   byte for byte, over pipes and over a shared UDP carrier, and
 //! * replaying a recorded trace reproduces the identical report.
 //!
 //! The per-run health criteria live in `ScenarioOutcome::health_problems`,
@@ -118,23 +118,10 @@ fn every_fanout_scenario_closes_its_per_lane_loops_on_both_appliers_at_both_seed
             let problems = outcome.health_problems(&spec);
             assert!(problems.is_empty(), "{context}: {problems:?}");
 
-            // The live session applier — shared head chain, fanout worker,
-            // one tail chain per lane, reconfigured lane by lane through
-            // the splice protocol — must agree with the sync run byte for
-            // byte.
-            let session = engine.run_session();
-            assert_same_outcome(
-                &context,
-                "session",
-                &outcome.trace.canonical_text(),
-                &outcome.report,
-                &session.trace.canonical_text(),
-                &session.report,
-            );
-
-            // And so must the pooled session applier, where the head, the
-            // fanout stage, and every lane run as tasks on a fixed worker
-            // pool with zero dedicated threads per session.
+            // The live pooled session applier — shared head chain, fanout
+            // stage, one tail chain per lane, all tasks on a fixed worker
+            // pool, reconfigured lane by lane while packets flow — must
+            // agree with the sync run byte for byte.
             let pooled = engine.run_pooled();
             assert_same_outcome(
                 &context,
@@ -165,55 +152,27 @@ fn fanout_traces_are_byte_identical_per_spec_and_seed() {
 }
 
 #[test]
-fn a_fixed_seed_scenario_over_loopback_udp_matches_the_sync_applier() {
-    // The wire must be invisible to the closed loop: the same scenario at
-    // the same seed, run with every packet crossing two real loopback UDP
-    // sockets (socket → chain → socket, via `Proxy::add_stream_udp`), must
-    // produce the sync applier's report — delivered + recovered totals
-    // exactly — and the identical canonical trace.
-    let spec = ScenarioSpec::handoff_cliff().with_seed(MATRIX_SEEDS[0]);
-    let engine = ScenarioEngine::new(spec);
-    let sync = engine.run_sync();
-    let udp = engine.run_udp();
-    for (receiver, (s, u)) in sync.report.receivers.iter().zip(&udp.report.receivers).enumerate() {
-        assert_eq!(
-            s.delivered + s.recovered,
-            u.delivered + u.recovered,
-            "receiver {receiver}: delivered+recovered diverged over the wire"
-        );
-    }
-    assert_eq!(sync.report, udp.report, "the wire changed the outcome");
-    assert_eq!(
-        sync.trace.canonical_text(),
-        udp.trace.canonical_text(),
-        "sync and udp appliers diverge"
-    );
-
-    // Same bar for a fanout spec: one UDP egress per lane.
-    let fanout = FanoutSpec::fanout_matrix()
-        .into_iter()
-        .next()
-        .expect("the fanout matrix is non-empty")
-        .with_seed(MATRIX_SEEDS[0]);
-    let engine = FanoutEngine::new(fanout);
-    let sync = engine.run_sync();
-    let udp = engine.run_udp();
-    assert_eq!(sync.report, udp.report, "the wire changed the fanout outcome");
-}
-
-#[test]
 fn a_fixed_seed_scenario_over_a_shared_socket_carrier_matches_the_sync_applier() {
-    // Same bar as the dedicated-socket wire test, for the reactor path:
-    // every packet crosses a *shared* carrier socket (one UDP socket
-    // demuxed by stream id onto the worker pool, zero pump threads, via
-    // `Proxy::add_stream_udp_shared`), and the multiplexing must be
-    // invisible — the sync applier's report and canonical trace, byte for
-    // byte, at both matrix seeds.
+    // The wire must be invisible to the closed loop: every packet crosses
+    // real loopback sockets and a *shared* carrier socket (one UDP socket
+    // demuxed by stream id onto the worker pool, via
+    // `Proxy::add_stream_udp_shared`), and the result must be the sync
+    // applier's report — delivered + recovered totals exactly — and
+    // canonical trace, byte for byte, at both matrix seeds.
     for seed in MATRIX_SEEDS {
         let spec = ScenarioSpec::handoff_cliff().with_seed(seed);
         let engine = ScenarioEngine::new(spec);
         let sync = engine.run_sync();
         let shared = engine.run_udp_shared();
+        for (receiver, (s, u)) in
+            sync.report.receivers.iter().zip(&shared.report.receivers).enumerate()
+        {
+            assert_eq!(
+                s.delivered + s.recovered,
+                u.delivered + u.recovered,
+                "receiver {receiver} @ seed {seed}: delivered+recovered diverged over the wire"
+            );
+        }
         assert_same_outcome(
             &format!("handoff-cliff @ seed {seed}"),
             "shared-udp",
