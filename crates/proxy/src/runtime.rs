@@ -806,7 +806,7 @@ impl Runtime {
 
     /// Registers socket-backed work as a pool task woken by the socket
     /// reactor: the readiness analogue of a chain task's `PipeWatcher`
-    /// wiring, and the replacement for per-socket pump threads.
+    /// wiring, so a socket costs no thread of its own.
     ///
     /// The task is stepped whenever the reactor observes the registered
     /// interest on `socket` (or [`SocketDriver::kick`] / a watcher
