@@ -1387,6 +1387,33 @@ mod tests {
     }
 
     #[test]
+    fn session_applier_survives_a_head_chain_that_outgrows_the_lane_pipes() {
+        // The same 6x head expansion on a session that adapts: the lossy
+        // WLAN lane gets FEC spliced in while the fanout stage is
+        // back-pressured, so the apply point quiesces the session with its
+        // lane pipes full.  The run must still agree with the sync
+        // applier byte for byte, and the wired lanes must lose nothing.
+        let mut spec = FanoutSpec::wired_plus_lossy_wlan().with_packets(700);
+        spec.head_filters = vec![FilterSpec::new("fec-encoder")
+            .with_param("n", "6")
+            .with_param("k", "1")];
+        let engine = FanoutEngine::new(spec);
+        let session = engine.run_pooled();
+        let sync = engine.run_sync();
+        assert_eq!(session.report.source_packets_sent, 700);
+        assert_eq!(sync.trace.canonical_text(), session.trace.canonical_text());
+        assert_eq!(sync.report, session.report);
+        assert!(
+            session.trace.canonical_text().contains("insert@"),
+            "the lossy lane must adapt mid-run:\n{}",
+            session.trace.canonical_text()
+        );
+        for lane in &session.report.lanes[1..] {
+            assert_eq!(lane.outcome.delivered, 700, "wired lanes deliver everything");
+        }
+    }
+
+    #[test]
     fn fanout_matrix_is_complete_and_named() {
         let matrix = FanoutSpec::fanout_matrix();
         assert_eq!(matrix.len(), 3);

@@ -1018,8 +1018,42 @@ mod tests {
             assert_eq!(lane.delivered, 4);
             assert_eq!(lane.queue_depth, 0);
         }
-        assert_eq!(proxy.session_names(), vec!["fanout"]);
         // Duplicate and unknown session names are rejected.
+        assert!(proxy.add_session_pooled("fanout", 64, 8).is_err());
+        assert!(matches!(
+            proxy.pooled_session("nope"),
+            Err(ProxyError::UnknownSession(_))
+        ));
+        proxy.shutdown().unwrap();
+    }
+
+    #[test]
+    fn pooled_sessions_report_like_threaded_ones() {
+        // A pooled session lane and a threaded stream carrying the same
+        // packets through the same filter report the same chain counters.
+        let mut proxy = Proxy::with_runtime("mixed", RuntimeConfig::new(2, 8));
+        let (stream_in, stream_out) = proxy.add_stream("plain").unwrap();
+        proxy.insert_filter("plain", 0, &FilterSpec::new("fec-encoder")).unwrap();
+        let input = proxy.add_session_pooled("fanout", 64, 8).unwrap();
+        let session = proxy.pooled_session("fanout").unwrap();
+        let lane = session.add_lane("wired").unwrap();
+        session.insert_lane_filter("wired", 0, &FilterSpec::new("fec-encoder")).unwrap();
+        for seq in 0..4 {
+            stream_in.send(packet(seq)).unwrap();
+            input.send(packet(seq)).unwrap();
+        }
+        // FEC(6,4) turns four sources into six packets on both paths.
+        for _ in 0..6 {
+            stream_out.recv().unwrap();
+            lane.recv().unwrap();
+        }
+        let status = proxy.status();
+        assert_eq!(status.sessions.len(), 1);
+        let wired = &status.sessions[0].lanes[0];
+        assert_eq!(wired.delivered, 6);
+        assert_eq!(wired.filters, status.streams[0].filters);
+        assert_eq!(wired.stats, status.streams[0].stats);
+        assert_eq!(proxy.session_names(), vec!["fanout"]);
         assert!(proxy.add_session_pooled("fanout", 64, 8).is_err());
         assert!(matches!(
             proxy.pooled_session("nope"),

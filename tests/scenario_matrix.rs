@@ -152,27 +152,53 @@ fn fanout_traces_are_byte_identical_per_spec_and_seed() {
 }
 
 #[test]
+fn a_fixed_seed_scenario_over_loopback_udp_matches_the_sync_applier() {
+    // The wire must be invisible to the closed loop: the same scenario at
+    // the same seed, run with every packet crossing real loopback UDP
+    // sockets (app socket → carrier → chain → carrier → app socket, via
+    // `Proxy::add_stream_udp_shared`), must produce the sync applier's
+    // report — delivered + recovered totals exactly — and the identical
+    // canonical trace.
+    let spec = ScenarioSpec::handoff_cliff().with_seed(MATRIX_SEEDS[0]);
+    let engine = ScenarioEngine::new(spec);
+    let sync = engine.run_sync();
+    let udp = engine.run_udp_shared();
+    for (receiver, (s, u)) in sync.report.receivers.iter().zip(&udp.report.receivers).enumerate() {
+        assert_eq!(
+            s.delivered + s.recovered,
+            u.delivered + u.recovered,
+            "receiver {receiver}: delivered+recovered diverged over the wire"
+        );
+    }
+    assert_eq!(sync.report, udp.report, "the wire changed the outcome");
+    assert_eq!(
+        sync.trace.canonical_text(),
+        udp.trace.canonical_text(),
+        "sync and udp appliers diverge"
+    );
+
+    // Same bar for a fanout spec: one egress lane per receiver.  The
+    // tiered spec puts a different FEC strength on every lane, which the
+    // shared-carrier test below does not run over the wire.
+    let fanout = FanoutSpec::tiered_wireless().with_seed(MATRIX_SEEDS[0]);
+    let engine = FanoutEngine::new(fanout);
+    let sync = engine.run_sync();
+    let udp = engine.run_udp_shared();
+    assert_eq!(sync.report, udp.report, "the wire changed the fanout outcome");
+}
+
+#[test]
 fn a_fixed_seed_scenario_over_a_shared_socket_carrier_matches_the_sync_applier() {
-    // The wire must be invisible to the closed loop: every packet crosses
-    // real loopback sockets and a *shared* carrier socket (one UDP socket
-    // demuxed by stream id onto the worker pool, via
-    // `Proxy::add_stream_udp_shared`), and the result must be the sync
-    // applier's report — delivered + recovered totals exactly — and
-    // canonical trace, byte for byte, at both matrix seeds.
+    // Same bar as the loopback wire test, for every matrix seed: every
+    // packet crosses a *shared* carrier socket (one UDP socket demuxed by
+    // stream id onto the worker pool, zero pump threads), and the
+    // multiplexing must be invisible — the sync applier's report and
+    // canonical trace, byte for byte.
     for seed in MATRIX_SEEDS {
         let spec = ScenarioSpec::handoff_cliff().with_seed(seed);
         let engine = ScenarioEngine::new(spec);
         let sync = engine.run_sync();
         let shared = engine.run_udp_shared();
-        for (receiver, (s, u)) in
-            sync.report.receivers.iter().zip(&shared.report.receivers).enumerate()
-        {
-            assert_eq!(
-                s.delivered + s.recovered,
-                u.delivered + u.recovered,
-                "receiver {receiver} @ seed {seed}: delivered+recovered diverged over the wire"
-            );
-        }
         assert_same_outcome(
             &format!("handoff-cliff @ seed {seed}"),
             "shared-udp",
